@@ -123,6 +123,68 @@ TEST_F(CacheStalenessTest, StaleReplayMatchesColdUnderParallelPool) {
   }
 }
 
+TEST_F(CacheStalenessTest, StaleSummaryContainmentDemotesBothFrontEnds) {
+  // '/order/custid' does not statically contain '//custid', but every
+  // stored custid sits at /order/custid, so the path summary makes the
+  // index eligible for the existence predicate. The claim is only as good
+  // as the collection's path set when the plan was cached.
+  Exec(
+      "CREATE INDEX cust_txt ON orders(orddoc) "
+      "USING XMLPATTERN '/order/custid' AS SQL VARCHAR(32)");
+  const std::string sql =
+      "SELECT ordid FROM orders WHERE XMLEXISTS('$o//custid' "
+      "PASSING orddoc AS \"o\")";
+  const std::string xq =
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')[.//custid]//custid";
+  for (const std::string& text : {sql, xq}) {
+    auto plan = text == sql ? db_.ExplainSql(text) : db_.ExplainXQuery(text);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find("XML INDEX STRUCTURAL SCAN CUST_TXT "
+                         "[summary-derived containment]"),
+              std::string::npos)
+        << *plan;
+  }
+  auto sql_before = db_.ExecuteSql(sql);
+  ASSERT_TRUE(sql_before.ok()) << sql_before.status().ToString();
+  EXPECT_EQ(sql_before->stats.docs_scanned, 0);
+  auto xq_before = db_.ExecuteXQuery(xq);
+  ASSERT_TRUE(xq_before.ok()) << xq_before.status().ToString();
+  EXPECT_EQ(xq_before->stats.docs_scanned, 0);
+
+  // A custid outside /order/custid: the index misses it, so a cached probe
+  // would lose this row. Both front ends must demote to a scan.
+  Exec(
+      "INSERT INTO orders VALUES (900003, '<order><note><custid>4</custid>"
+      "</note></order>')");
+  const long long live_rows =
+      static_cast<long long>(db_.catalog().GetTable("ORDERS").value()
+                                 ->live_row_count());
+  ExecOptions scan;
+  scan.force_scan = true;
+
+  auto sql_cached = db_.ExecuteSql(sql);
+  ASSERT_TRUE(sql_cached.ok()) << sql_cached.status().ToString();
+  EXPECT_EQ(sql_cached->stats.plan_cache_hits, 1);
+  EXPECT_EQ(sql_cached->stats.docs_scanned, live_rows);
+  auto sql_scan = db_.ExecuteSql(sql, scan);
+  ASSERT_TRUE(sql_scan.ok()) << sql_scan.status().ToString();
+  ASSERT_EQ(sql_cached->rows.size(), sql_scan->rows.size());
+  EXPECT_EQ(sql_cached->rows.size(), sql_before->rows.size() + 1);
+  for (size_t i = 0; i < sql_scan->rows.size(); ++i) {
+    EXPECT_EQ(sql_cached->rows[i][0].integer_value(),
+              sql_scan->rows[i][0].integer_value());
+  }
+
+  auto xq_cached = db_.ExecuteXQuery(xq);
+  ASSERT_TRUE(xq_cached.ok()) << xq_cached.status().ToString();
+  EXPECT_EQ(xq_cached->stats.plan_cache_hits, 1);
+  EXPECT_EQ(xq_cached->stats.docs_scanned, live_rows);
+  auto xq_scan = db_.ExecuteXQuery(xq, scan);
+  ASSERT_TRUE(xq_scan.ok()) << xq_scan.status().ToString();
+  EXPECT_EQ(xq_cached->rows, xq_scan->rows);
+  EXPECT_EQ(xq_cached->rows.size(), xq_before->rows.size() + 1);
+}
+
 TEST_F(CacheStalenessTest, DdlStillInvalidates) {
   // The counterpart guarantee: DDL *does* bump the version, because a new
   // index can flip the plan shape.
