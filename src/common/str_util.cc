@@ -200,6 +200,23 @@ long long ParseEnvInt(const char* name, long long min_value,
   return parsed.value;
 }
 
+std::optional<bool> ParseSwitchText(std::string_view text) {
+  std::string_view t = TrimWhitespace(text);
+  if (t == "1" || EqualsIgnoreCase(t, "on")) return true;
+  if (t == "0" || EqualsIgnoreCase(t, "off")) return false;
+  return std::nullopt;
+}
+
+bool ParseEnvSwitch(const char* name, bool fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  if (std::optional<bool> parsed = ParseSwitchText(raw)) return *parsed;
+  WarnEnvParse(name, std::string("ignoring unrecognized value \"") + raw +
+                         "\" (accepted: 0, 1, on, off); using " +
+                         (fallback ? "on" : "off"));
+  return fallback;
+}
+
 const char* GetEnvRaw(const char* name) { return std::getenv(name); }
 
 void SetEnvParseWarnHook(void (*hook)(const char* name, const char* detail)) {

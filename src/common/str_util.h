@@ -68,6 +68,20 @@ ParsedEnvInt ParseEnvIntText(std::string_view text, long long min_value,
 long long ParseEnvInt(const char* name, long long min_value,
                       long long max_value, long long fallback);
 
+/// Strict grammar for an on/off knob: exactly "0"/"off" (false) or
+/// "1"/"on" (true), ASCII case-insensitive words, surrounding whitespace
+/// ignored. Anything else — "true", "yes", "offf", "" — is nullopt, so a
+/// typo never silently picks a side. Pure — the testable core of
+/// ParseEnvSwitch.
+std::optional<bool> ParseSwitchText(std::string_view text);
+
+/// Reads the on/off knob `name` with ParseSwitchText. Unset → fallback
+/// silently; unrecognized text → fallback plus a one-time diagnostic
+/// through the same warn hook as ParseEnvInt (counted as
+/// `env.parse_errors`). XQDB_STRUCTURAL, XQDB_BATCH and XQDB_STATIC all
+/// read through here.
+bool ParseEnvSwitch(const char* name, bool fallback);
+
 /// Reads a raw (string-valued) environment knob; nullptr when unset. The
 /// single sanctioned `getenv` site outside ParseEnvInt: xqinvariant
 /// XQI005 flags direct std::getenv calls elsewhere in src/, so every knob
@@ -75,11 +89,11 @@ long long ParseEnvInt(const char* name, long long min_value,
 /// or snapshotting can be added in one place.
 const char* GetEnvRaw(const char* name);
 
-/// Installs the process-wide sink for ParseEnvInt diagnostics (nullptr
-/// restores stderr). The observability layer installs a hook that also
-/// bumps an `env.parse_errors` counter; common/ cannot depend on metrics
-/// directly. `detail` is a short human-readable description including the
-/// offending text and the substituted value.
+/// Installs the process-wide sink for ParseEnvInt and ParseEnvSwitch
+/// diagnostics (nullptr restores stderr). The observability layer installs
+/// a hook that also bumps an `env.parse_errors` counter; common/ cannot
+/// depend on metrics directly. `detail` is a short human-readable
+/// description including the offending text and the substituted value.
 void SetEnvParseWarnHook(void (*hook)(const char* name, const char* detail));
 
 }  // namespace xqdb

@@ -1,15 +1,12 @@
 #include "core/database.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 
 #include "analysis/analyzer.h"
-#include "analysis/static_types.h"
 #include "common/thread_pool.h"
 #include "core/planner.h"
 #include "observability/trace.h"
-#include "sql/batch_filter.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/parser.h"
@@ -18,33 +15,50 @@ namespace xqdb {
 
 namespace {
 
-/// Downgrades every access path of a SELECT plan to a full collection
-/// scan (ExecOptions::force_scan). The residual predicate is always
-/// re-applied by the executor, so the scan plan computes the ground-truth
-/// result any index plan must match.
-void ForceScanPlan(SelectPlan* plan) {
-  for (AccessPath& access : plan->access) {
-    std::vector<std::string> notes = std::move(access.notes);
-    access = AccessPath{};
-    access.notes = std::move(notes);
-    access.summary = "forced collection scan (ExecOptions::force_scan)";
-  }
-  // A forced scan is the ground-truth execution: no folded conjuncts, no
-  // statically-pruned plan may shortcut it.
-  plan->folds.clear();
-  plan->static_empty = false;
-  plan->static_reason.clear();
+/// Downgrades an access path to a full collection scan
+/// (ExecOptions::force_scan). The residual predicate is always re-applied
+/// by the executor, so the scan plan computes the ground-truth result any
+/// index plan must match.
+void ForceScan(AccessPath* access) {
+  std::vector<std::string> notes = std::move(access->notes);
+  *access = AccessPath{};
+  access->notes = std::move(notes);
+  access->summary = "forced collection scan (ExecOptions::force_scan)";
 }
 
-void ForceScanPlan(XQueryPlan* plan) {
-  plan->use_index = false;
-  std::vector<std::string> notes = std::move(plan->access.notes);
-  plan->access = AccessPath{};
-  plan->access.notes = std::move(notes);
-  plan->access.summary = "forced collection scan (ExecOptions::force_scan)";
-  plan->static_empty = false;
-  plan->static_reason.clear();
-  plan->static_witnesses.clear();
+/// Maps the per-statement runtime knobs onto an executor.
+void ApplyExecOptions(const ExecOptions& options, SqlExecutor* executor) {
+  if (options.disable_structural) executor->set_structural_enabled(false);
+  if (options.disable_batch) executor->set_batch_enabled(false);
+  if (options.disable_static) executor->set_static_enabled(false);
+}
+
+/// Runs `run(executor)` against one consistent snapshot: the caller's
+/// pinned epoch (server sessions), or a pin held for the duration of the
+/// call.
+template <typename Run>
+auto RunOnSnapshot(Catalog* catalog, EpochManager* epochs,
+                   const ExecOptions& options, Run run) {
+  std::optional<SnapshotHandle> pin;
+  uint64_t epoch = options.snapshot_epoch;
+  if (epoch == 0) {
+    pin.emplace(*epochs);
+    epoch = pin->epoch();
+  }
+  SqlExecutor executor(catalog, epoch);
+  ApplyExecOptions(options, &executor);
+  return run(executor);
+}
+
+/// A planner for one statement. A forced scan is the ground-truth
+/// execution: no folded conjunct and no statically-pruned plan may
+/// shortcut it, so it plans without static folding too.
+Planner MakePlanner(const Catalog* catalog, const ExecOptions& options) {
+  Planner planner(catalog);
+  if (options.disable_static || options.force_scan) {
+    planner.set_static_enabled(false);
+  }
+  return planner;
 }
 
 long long NowNs() {
@@ -128,19 +142,10 @@ void Database::EmitQueryTrace(const char* kind, const std::string& text,
 Result<ResultSet> Database::RunSelect(const SelectStmt& stmt,
                                       const SelectPlan& plan,
                                       const ExecOptions& options) {
-  // Evaluate against one consistent snapshot: the caller's pinned epoch
-  // (server sessions), or a pin held for the duration of this statement.
-  std::optional<SnapshotHandle> pin;
-  uint64_t epoch = options.snapshot_epoch;
-  if (epoch == 0) {
-    pin.emplace(epoch_manager_);
-    epoch = pin->epoch();
-  }
-  SqlExecutor executor(&catalog_, epoch);
-  if (options.disable_structural) executor.set_structural_enabled(false);
-  if (options.disable_batch) executor.set_batch_enabled(false);
-  if (options.disable_static) executor.set_static_enabled(false);
-  return executor.Run(stmt, plan);
+  return RunOnSnapshot(&catalog_, &epoch_manager_, options,
+                       [&](SqlExecutor& executor) {
+                         return executor.Run(stmt, plan);
+                       });
 }
 
 Result<ResultSet> Database::ExecuteSql(const std::string& sql,
@@ -210,14 +215,14 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
       rs = RunDeleteStmt(*stmt.del, options);
       break;
     case SqlStatement::Kind::kSelect: {
-      Planner planner(&catalog_);
-      if (options.disable_static) planner.set_static_enabled(false);
-      auto plan = planner.PlanSelect(*stmt.select);
+      auto plan = MakePlanner(&catalog_, options).PlanSelect(*stmt.select);
       if (!plan.ok()) {
         rs = plan.status();
         break;
       }
-      if (options.force_scan) ForceScanPlan(&*plan);
+      if (options.force_scan) {
+        for (AccessPath& access : plan->access) ForceScan(&access);
+      }
       plan_end = NowNs();
       if (plan_text != nullptr) *plan_text = plan->Explain(*stmt.select);
       auto entry = std::make_shared<CachedSqlQuery>();
@@ -300,10 +305,9 @@ Result<Database::XQueryResult> Database::ExecuteXQueryInternal(
   }
   XQDB_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseXQuery(query));
   const long long parse_end = NowNs();
-  Planner planner(&catalog_);
-  if (options.disable_static) planner.set_static_enabled(false);
-  XQDB_ASSIGN_OR_RETURN(XQueryPlan plan, planner.PlanXQuery(*parsed.body));
-  if (options.force_scan) ForceScanPlan(&plan);
+  XQDB_ASSIGN_OR_RETURN(XQueryPlan plan, MakePlanner(&catalog_, options)
+                                              .PlanXQuery(*parsed.body));
+  if (options.force_scan) ForceScan(&plan.access);
   const long long plan_end = NowNs();
   auto entry = std::make_shared<CachedXQuery>();
   entry->parsed = std::move(parsed);
@@ -321,206 +325,13 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
   XQueryResult out;
   out.plan = plan.Explain();
   out.runtime = std::make_shared<QueryRuntime>();
-
-  // Statically-empty body (DESIGN.md §13): the planner proved the result
-  // is the empty sequence and that evaluation cannot raise. The proof's
-  // emptiness witnesses are only as current as the DataGuide they were
-  // made against, so re-verify each against the live summary — DML since
-  // planning (plans are cached; DML does not bump the catalog version)
-  // demotes to the normal plan below, keeping results exact. A witness
-  // probe walks the summary trie; no document is opened either way.
-  if (plan.static_empty && !options.disable_static &&
-      VerifyEmptyWitnesses(catalog_, plan.static_witnesses)) {
-    out.stats.static_pruned_exprs = 1;
-    return out;  // zero items, zero rows, docs_scanned = 0
-  }
-
-  // One consistent snapshot for the whole evaluation (see RunSelect).
-  std::optional<SnapshotHandle> pin;
-  uint64_t epoch = options.snapshot_epoch;
-  if (epoch == 0) {
-    pin.emplace(epoch_manager_);
-    epoch = pin->epoch();
-  }
-  SnapshotProvider snapshot_provider(&catalog_, epoch);
-  std::unique_ptr<FilteredProvider> filtered;
-  const XmlColumnProvider* provider = &snapshot_provider;
-  auto summary_of = [&]() -> const PathSummary* {
-    auto table = catalog_.GetTable(plan.table);
-    return table.ok() ? table.value()->path_summary(plan.column) : nullptr;
-  };
-  bool use_index = plan.use_index;
-  if (use_index && plan.access.summary_containment) {
-    // This plan's eligibility rests on data-dependent containment: every
-    // stored path the query matched lay inside the index pattern *when it
-    // was planned*. Inserts since then may have grown the path set past
-    // the pattern, so re-verify against the live summary (a trie walk, not
-    // a data scan) and fall back to the collection scan when stale.
-    const PathSummary* summary = summary_of();
-    use_index = summary != nullptr && plan.access.summary_nfa != nullptr &&
-                plan.access.containment_nfa != nullptr &&
-                summary->MatchedPathsCoveredBy(*plan.access.summary_nfa,
-                                               *plan.access.containment_nfa);
-  }
-  if (use_index && plan.access.kind == AccessPath::Kind::kIndexOnly) {
-    // Covering aggregate: answer fn:count/sum/avg/min/max straight from the
-    // B+Tree entries — zero documents materialized. The plan proved the
-    // index entry set equals the query match set in the pattern language
-    // (containment both ways); what it could NOT prove statically is the
-    // data-dependent residue, so re-verify here, exactly like the
-    // summary-containment gate above: any tolerantly skipped uncastable or
-    // NaN node means the entries under-count the match set, and we demote
-    // to the collection scan. The batch knob gates this path too so
-    // XQDB_BATCH=0 (and the xqdiff row-at-a-time oracle) exercises the
-    // evaluator instead.
-    auto table = catalog_.GetTable(plan.table);
-    bool covering = !options.disable_batch && BatchExecDefault() &&
-                    table.ok() && plan.access.index != nullptr &&
-                    plan.access.index->cast_skip_count() == 0;
-    ProbeStats pstats;
-    std::vector<DoubleIndexEntry> entries;
-    if (covering) {
-      covering = plan.access.index->ScanDoubleEntries(&entries, &pstats);
-    }
-    if (covering) {
-      std::vector<DoubleIndexEntry> visible;
-      visible.reserve(entries.size());
-      for (const DoubleIndexEntry& e : entries) {
-        if (table.value()->VisibleAt(e.row, epoch)) visible.push_back(e);
-      }
-      // Key order out of the tree; the aggregates below are specified over
-      // document order (sum accumulates left to right; min/max keep the
-      // first of equal keys), so re-sort by (row, node id).
-      std::sort(visible.begin(), visible.end(),
-                [](const DoubleIndexEntry& a, const DoubleIndexEntry& b) {
-                  return a.row != b.row ? a.row < b.row : a.node < b.node;
-                });
-      const size_t n = visible.size();
-      switch (plan.access.index_only_agg) {
-        case AccessPath::IndexOnlyAgg::kNone:
-          return Status::Internal("index-only plan without an aggregate");
-        case AccessPath::IndexOnlyAgg::kCount:
-          out.items.push_back(
-              Item(AtomicValue::Integer(static_cast<long long>(n))));
-          break;
-        case AccessPath::IndexOnlyAgg::kSum: {
-          // fn:sum of untyped values casts each to double; the empty
-          // sequence sums to xs:integer 0 (functions.cc FnSum).
-          if (n == 0) {
-            out.items.push_back(Item(AtomicValue::Integer(0)));
-          } else {
-            double sum = 0;
-            for (const DoubleIndexEntry& e : visible) sum += e.key;
-            out.items.push_back(Item(AtomicValue::Double(sum)));
-          }
-          break;
-        }
-        case AccessPath::IndexOnlyAgg::kAvg: {
-          if (n > 0) {  // fn:avg of () is ().
-            double sum = 0;
-            for (const DoubleIndexEntry& e : visible) sum += e.key;
-            out.items.push_back(
-                Item(AtomicValue::Double(sum / static_cast<double>(n))));
-          }
-          break;
-        }
-        case AccessPath::IndexOnlyAgg::kMin:
-        case AccessPath::IndexOnlyAgg::kMax: {
-          if (n > 0) {  // fn:min/max of () is ().
-            const bool want_min =
-                plan.access.index_only_agg == AccessPath::IndexOnlyAgg::kMin;
-            double best = visible[0].key;
-            for (size_t i = 1; i < n; ++i) {
-              const double k = visible[i].key;
-              // Strict compare: equal keys keep the earlier value, matching
-              // the evaluator's MinMax loop. NaN cannot appear — KeyFor
-              // skips NaN keys and the cast_skip_count gate above proved
-              // there were none.
-              if (want_min ? k < best : k > best) best = k;
-            }
-            out.items.push_back(Item(AtomicValue::Double(best)));
-          }
-          break;
-        }
-      }
-      long long distinct_rows = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (i == 0 || visible[i].row != visible[i - 1].row) ++distinct_rows;
-      }
-      out.stats.index_entries_probed =
-          static_cast<long long>(pstats.entries_scanned);
-      out.stats.index_docs_returned = distinct_rows;
-      out.stats.index_only_rows = static_cast<long long>(n);
-      out.stats.xquery_evals = 1;
-      // docs_scanned and rows_scanned stay 0: no document was opened.
-      out.rows.reserve(out.items.size());
-      for (const Item& item : out.items) {
-        out.rows.push_back(item.atomic().Lexical());
-      }
-      return out;
-    }
-    // Demoted: the covering claim no longer holds (batch execution is off,
-    // or DML introduced a tolerant cast skip). Scan the collection.
-    use_index = false;
-  }
-  if (use_index) {
-    ProbeStats pstats;
-    std::vector<uint32_t> rows;
-    switch (plan.access.kind) {
-      case AccessPath::Kind::kIndexRange:
-      case AccessPath::Kind::kIndexStructural: {
-        XQDB_ASSIGN_OR_RETURN(
-            rows, plan.access.index->ProbeRange(plan.access.lo,
-                                                plan.access.hi, &pstats));
-        break;
-      }
-      case AccessPath::Kind::kSummaryExistence: {
-        const PathSummary* summary = summary_of();
-        PathSummary::MatchStats mstats;
-        if (summary != nullptr && plan.access.summary_nfa != nullptr) {
-          rows = summary->MatchRows(*plan.access.summary_nfa, &mstats);
-        }
-        out.stats.summary_pruned_paths += mstats.pruned_paths;
-        break;
-      }
-      case AccessPath::Kind::kIndexIntersect: {
-        XQDB_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> a,
-            plan.access.index->ProbeRange(plan.access.lo, plan.access.hi,
-                                          &pstats));
-        XQDB_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> b,
-            plan.access.index2->ProbeRange(plan.access.lo2, plan.access.hi2,
-                                           &pstats));
-        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                              std::back_inserter(rows));
-        break;
-      }
-      case AccessPath::Kind::kFullScan:
-      case AccessPath::Kind::kIndexJoinProbe:  // never planned standalone
-      case AccessPath::Kind::kIndexOnly:       // handled (or demoted) above
-        break;
-    }
-    out.stats.index_entries_probed =
-        static_cast<long long>(pstats.entries_scanned);
-    out.stats.index_docs_returned = static_cast<long long>(rows.size());
-    filtered = std::make_unique<FilteredProvider>(
-        &catalog_, plan.table, plan.column, std::move(rows), epoch);
-    provider = filtered.get();
-  }
-
-  Evaluator eval(&parsed.static_context, provider, out.runtime.get());
-  if (options.disable_structural) eval.set_structural_enabled(false);
-  eval.set_stats(&out.stats);
-  XQDB_ASSIGN_OR_RETURN(out.items, eval.Eval(*parsed.body));
-  out.stats.rows_scanned = eval.docs_navigated();
-  // Without an index pre-filter every navigated document was visited
-  // blind — that is a collection scan, the ineligible shape of Definition
-  // 1; with one, the documents the evaluator saw were index-admitted and
-  // already counted in index_docs_returned.
-  if (!use_index) out.stats.docs_scanned = eval.docs_navigated();
-  out.stats.xquery_evals = 1;
-
+  XQDB_ASSIGN_OR_RETURN(
+      out.items, RunOnSnapshot(&catalog_, &epoch_manager_, options,
+                               [&](SqlExecutor& executor) {
+                                 return executor.RunXQuery(
+                                     parsed, plan, out.runtime.get(),
+                                     &out.stats);
+                               }));
   out.rows.reserve(out.items.size());
   for (const Item& item : out.items) {
     if (item.is_node()) {
@@ -614,8 +425,7 @@ Result<ResultSet> Database::RunDeleteStmt(const DeleteStmt& stmt,
     // visible before this statement) and tombstoned at the write epoch, so
     // concurrent pinned readers keep seeing them until this commits.
     SqlExecutor executor(&catalog_, epoch_manager_.current());
-    if (options.disable_structural) executor.set_structural_enabled(false);
-    if (options.disable_batch) executor.set_batch_enabled(false);
+    ApplyExecOptions(options, &executor);
     auto n = executor.RunDelete(stmt, ticket.write_epoch(), &exec_stats);
     if (!n.ok()) return n.status();  // no victims stamped before an error
     deleted = *n;

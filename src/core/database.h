@@ -122,9 +122,9 @@ class Database {
   /// `table_name`; a no-op when nothing is deferred).
   void VacuumTable(const std::string& table_name);
 
-  /// Executes a compiled SELECT / XQuery (shared by the cache-hit and
-  /// freshly-compiled paths). `options` carries only runtime knobs here
-  /// (disable_structural); plan forcing happened at plan time.
+  /// Executes a compiled SELECT / XQuery on the SqlExecutor (shared by the
+  /// cache-hit and freshly-compiled paths). `options` carries only runtime
+  /// knobs and the snapshot here; plan forcing happened at plan time.
   Result<ResultSet> RunSelect(const SelectStmt& stmt, const SelectPlan& plan,
                               const ExecOptions& options);
   Result<XQueryResult> RunXQuery(const ParsedQuery& parsed,

@@ -178,9 +178,7 @@ void DedupNotes(std::vector<std::string>* notes) {
 /// time, so cached plans never go stale. Returns false if no extracted
 /// predicate's path compiles to an automaton.
 bool TrySummaryExistence(const ExtractionResult& extraction,
-                         const PathSummary* summary,
-                         const std::string& table, const std::string& column,
-                         AccessPath* path) {
+                         const PathSummary* summary, AccessPath* path) {
   if (summary == nullptr) return false;
   for (const ExtractedPredicate& pred : extraction.predicates) {
     auto nfa = PatternNfa::Compile(pred.path);
@@ -188,8 +186,6 @@ bool TrySummaryExistence(const ExtractionResult& extraction,
     path->kind = AccessPath::Kind::kSummaryExistence;
     path->summary_nfa =
         std::make_shared<const PatternNfa>(*std::move(nfa));
-    path->summary_table = table;
-    path->summary_column = column;
     path->summary_path_text = pred.path_text;
     path->summary = "path-summary existence probe for " + pred.description +
                     " (no eligible index; rows from the DataGuide, "
@@ -206,9 +202,7 @@ bool TrySummaryExistence(const ExtractionResult& extraction,
 
 AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
                                 const ExtractionResult& extraction,
-                                const PathSummary* summary,
-                                const std::string& table,
-                                const std::string& column) {
+                                const PathSummary* summary) {
   AccessPath path;
   path.notes = extraction.notes;
 
@@ -217,9 +211,7 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
     return path;
   }
   if (indexes.empty()) {
-    if (TrySummaryExistence(extraction, summary, table, column, &path)) {
-      return path;
-    }
+    if (TrySummaryExistence(extraction, summary, &path)) return path;
     path.summary = "no XML indexes defined on this column";
     return path;
   }
@@ -384,15 +376,13 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
             std::make_shared<const PatternNfa>(*std::move(query_nfa));
         path.containment_nfa =
             std::make_shared<const PatternNfa>(*std::move(index_nfa));
-        path.summary_table = table;
-        path.summary_column = column;
         path.summary_path_text = choice.pred->path_text;
         path.summary += " — eligibility via summary-derived containment";
       }
     }
     return path;
   }
-  if (TrySummaryExistence(extraction, summary, table, column, &path)) {
+  if (TrySummaryExistence(extraction, summary, &path)) {
     return path;
   }
   path.summary = "predicates found but no eligible index";
@@ -404,8 +394,9 @@ AccessPath ChooseAccessPath(const std::vector<const XmlIndex*>& indexes,
                             const PathSummary* summary,
                             const std::string& table,
                             const std::string& column) {
-  AccessPath path =
-      ChooseAccessPathImpl(indexes, extraction, summary, table, column);
+  AccessPath path = ChooseAccessPathImpl(indexes, extraction, summary);
+  path.table = table;
+  path.column = column;
   DedupNotes(&path.notes);
   return path;
 }

@@ -55,7 +55,7 @@ EligibilityVerdict CheckEligibility(const XmlIndex& index,
 /// summary-existence probe that answers "which rows contain this path" from
 /// the DataGuide with zero documents scanned, else full scan. The
 /// summary/notes narrate every considered index, eligible or not.
-/// `table`/`column` name the summary the executor must consult.
+/// `table`/`column` name the XML column the executor reads for this path.
 AccessPath ChooseAccessPath(const std::vector<const XmlIndex*>& indexes,
                             const ExtractionResult& extraction,
                             const PathSummary* summary = nullptr,

@@ -458,10 +458,9 @@ Result<XQueryPlan> Planner::PlanXQuery(const Expr& body) const {
            table_result.value()->indexes().XmlIndexesOn(cand->column)) {
         if (idx->type() != IndexValueType::kDouble) continue;
         if (!IndexCoversExactly(*idx, cand->pattern)) continue;
-        plan.use_index = true;
-        plan.table = cand->table;
-        plan.column = cand->column;
         plan.access.kind = AccessPath::Kind::kIndexOnly;
+        plan.access.table = cand->table;
+        plan.access.column = cand->column;
         plan.access.index = idx;
         plan.access.index_only_agg = cand->agg;
         plan.access.index_only_path_text = PatternToString(cand->pattern);
@@ -486,16 +485,11 @@ Result<XQueryPlan> Planner::PlanXQuery(const Expr& body) const {
     AccessPath access = ChooseAccessPath(
         indexes, extraction, table->path_summary(column), table_name, column);
     if (access.kind != AccessPath::Kind::kFullScan) {
-      plan.use_index = true;
-      plan.table = table_name;
-      plan.column = column;
       plan.access = std::move(access);
       return plan;
     }
     // Keep the most informative no-index story.
     if (plan.access.summary.empty() || !access.notes.empty()) {
-      plan.table = table_name;
-      plan.column = column;
       plan.access = std::move(access);
     }
   }

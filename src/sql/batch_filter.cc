@@ -1,9 +1,6 @@
 #include "sql/batch_filter.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/str_util.h"
 #include "xdm/cast.h"
@@ -11,51 +8,12 @@
 #include "xpath/pattern.h"
 #include "xquery/ast.h"
 #include "xquery/parser.h"
-#include "xquery/structural_join.h"
 
 namespace xqdb {
 
-namespace {
-
-/// -1 = not yet resolved from the environment; 0/1 = resolved/overridden.
-std::atomic<int> g_batch_default{-1};
-
-bool ReadEnvDefault() {
-  const char* v = GetEnvRaw("XQDB_BATCH");
-  if (v == nullptr) return true;
-  if (auto parsed = ParseBatchKnob(v)) return *parsed;
-  static const bool warned = [v] {
-    std::fprintf(stderr,
-                 "xqdb: XQDB_BATCH: ignoring unrecognized value \"%s\" "
-                 "(accepted: 0, 1, on, off); batch execution stays on\n",
-                 v);
-    return true;
-  }();
-  (void)warned;
-  return true;
-}
-
-}  // namespace
-
-std::optional<bool> ParseBatchKnob(std::string_view text) {
-  // Same strict grammar as XQDB_STRUCTURAL, on purpose: one habit works for
-  // every xqdb escape hatch.
-  return ParseStructuralKnob(text);
-}
-
 bool BatchExecDefault() {
-  int s = g_batch_default.load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = ReadEnvDefault() ? 1 : 0;
-    // Racing first calls resolve the same environment value; any later
-    // SetBatchExecDefault wins via plain store.
-    g_batch_default.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void SetBatchExecDefault(bool enabled) {
-  g_batch_default.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  static const bool enabled = ParseEnvSwitch("XQDB_BATCH", true);
+  return enabled;
 }
 
 namespace {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "observability/exec_stats.h"
@@ -19,17 +18,10 @@ namespace xqdb {
 
 /// Process-wide default for batch-at-a-time (vectorized) predicate
 /// execution and covering index-only plans. Reads XQDB_BATCH once on first
-/// use; unset or unrecognized text enables it (the latter with a one-time
-/// warning). The setter overrides the environment — benches and the
-/// batch-vs-row differential oracle flip it to time/compare the
-/// row-at-a-time path.
+/// use via ParseEnvSwitch; unset or unrecognized text enables it (the
+/// latter with a one-time warning). ExecOptions::disable_batch turns it off
+/// per execution — the batch-vs-row oracle's hook.
 bool BatchExecDefault();
-void SetBatchExecDefault(bool enabled);
-
-/// Strict knob grammar, shared with XQDB_STRUCTURAL: exactly "0"/"off"
-/// (disable) or "1"/"on" (enable), ASCII case-insensitive for the words,
-/// surrounding whitespace ignored. Anything else is nullopt.
-std::optional<bool> ParseBatchKnob(std::string_view text);
 
 /// One vectorizable WHERE conjunct, compiled from a provably-equivalent
 /// XMLEXISTS shape (see CompileBatchProgram). The embedded XQuery

@@ -558,66 +558,16 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
     if (ref.kind == TableRef::Kind::kBaseTable) {
       XQDB_ASSIGN_OR_RETURN(Table * table,
                             catalog_->GetTable(ref.table_name));
-      bool per_row_probe =
+      const bool per_row_probe =
           path != nullptr && path->kind == AccessPath::Kind::kIndexJoinProbe;
 
-      bool static_probe = !per_row_probe && path != nullptr &&
-                          path->kind != AccessPath::Kind::kFullScan;
-      if (static_probe && path->summary_containment) {
-        // Data-dependent eligibility (summary-derived containment): the
-        // claim depends on the collection's path set at plan time, so
-        // re-verify against the live summary and demote to a scan when
-        // DML has grown the path set past the index pattern.
-        const PathSummary* summary =
-            table->path_summary(path->summary_column);
-        static_probe =
-            summary != nullptr && path->summary_nfa != nullptr &&
-            path->containment_nfa != nullptr &&
-            summary->MatchedPathsCoveredBy(*path->summary_nfa,
-                                           *path->containment_nfa);
-      }
-
       // Which row ids to visit (join probes recompute per outer row).
-      std::vector<uint32_t> static_row_ids;
-      if (static_probe) {
-        ProbeStats pstats;
-        switch (path->kind) {
-          case AccessPath::Kind::kIndexRange:
-          case AccessPath::Kind::kIndexStructural: {
-            XQDB_ASSIGN_OR_RETURN(
-                static_row_ids,
-                path->index->ProbeRange(path->lo, path->hi, &pstats));
-            break;
-          }
-          case AccessPath::Kind::kSummaryExistence: {
-            const PathSummary* summary =
-                table->path_summary(path->summary_column);
-            PathSummary::MatchStats mstats;
-            if (summary != nullptr && path->summary_nfa != nullptr) {
-              static_row_ids =
-                  summary->MatchRows(*path->summary_nfa, &mstats);
-            }
-            stats.summary_pruned_paths += mstats.pruned_paths;
-            break;
-          }
-          case AccessPath::Kind::kIndexIntersect: {
-            XQDB_ASSIGN_OR_RETURN(
-                std::vector<uint32_t> a,
-                path->index->ProbeRange(path->lo, path->hi, &pstats));
-            XQDB_ASSIGN_OR_RETURN(
-                std::vector<uint32_t> b,
-                path->index2->ProbeRange(path->lo2, path->hi2, &pstats));
-            std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                                  std::back_inserter(static_row_ids));
-            break;
-          }
-          default:
-            break;
-        }
-        stats.index_entries_probed += static_cast<long long>(pstats.entries_scanned);
-        stats.index_docs_returned +=
-            static_cast<long long>(static_row_ids.size());
-      } else if (!per_row_probe) {
+      Probe probe;
+      if (path != nullptr) {
+        XQDB_ASSIGN_OR_RETURN(probe, ResolveAccess(*path, *table, &stats));
+      }
+      std::vector<uint32_t> static_row_ids = std::move(probe.row_ids);
+      if (!probe.prefilter && !per_row_probe) {
         // Full scan (or a demoted stale summary-containment probe).
         static_row_ids.reserve(table->live_row_count());
         for (uint32_t r = 0; r < table->row_count(); ++r) {
@@ -676,7 +626,7 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
           }
           row_ids = &probe_row_ids;
         }
-        const bool from_index = per_row_probe || static_probe;
+        const bool from_index = per_row_probe || probe.prefilter;
         for (uint32_t r : *row_ids) {
           // Outside the snapshot: inserted after it, deleted at or before
           // it, or (index entry for a row still being inserted) unpublished.
@@ -796,6 +746,205 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
     rs.rows.push_back(std::move(out_row));
   }
   return rs;
+}
+
+Result<SqlExecutor::Probe> SqlExecutor::ResolveAccess(const AccessPath& path,
+                                                      const Table& table,
+                                                      ExecStats* stats) {
+  Probe out;
+  if (path.kind == AccessPath::Kind::kFullScan ||
+      path.kind == AccessPath::Kind::kIndexJoinProbe) {
+    return out;  // join probes are per outer row, in Run
+  }
+  if (path.summary_containment) {
+    // Data-dependent eligibility: every stored path the query matched lay
+    // inside the index pattern *when the plan was made*. DML since then
+    // (plans are cached; DML does not bump the catalog version) may have
+    // grown the path set past the pattern, so re-verify against the live
+    // summary — a trie walk, not a data scan.
+    const PathSummary* summary = table.path_summary(path.column);
+    if (summary == nullptr || path.summary_nfa == nullptr ||
+        path.containment_nfa == nullptr ||
+        !summary->MatchedPathsCoveredBy(*path.summary_nfa,
+                                        *path.containment_nfa)) {
+      return out;
+    }
+  }
+  if (path.kind == AccessPath::Kind::kIndexOnly &&
+      !(batch_enabled_ && path.index != nullptr &&
+        path.index->cast_skip_count() == 0)) {
+    // The plan proved the index entry set equals the query match set in
+    // the pattern language; any tolerantly skipped uncastable or NaN node
+    // breaks that on the data, so the entries would under-count. The batch
+    // knob gates this path too, so XQDB_BATCH=0 (and the xqdiff
+    // row-at-a-time oracle) exercises the evaluator instead.
+    return out;
+  }
+
+  ProbeStats pstats;
+  switch (path.kind) {
+    case AccessPath::Kind::kIndexRange:
+    case AccessPath::Kind::kIndexStructural: {
+      XQDB_ASSIGN_OR_RETURN(out.row_ids,
+                            path.index->ProbeRange(path.lo, path.hi, &pstats));
+      break;
+    }
+    case AccessPath::Kind::kSummaryExistence: {
+      const PathSummary* summary = table.path_summary(path.column);
+      PathSummary::MatchStats mstats;
+      if (summary != nullptr && path.summary_nfa != nullptr) {
+        out.row_ids = summary->MatchRows(*path.summary_nfa, &mstats);
+      }
+      stats->summary_pruned_paths += mstats.pruned_paths;
+      break;
+    }
+    case AccessPath::Kind::kIndexIntersect: {
+      XQDB_ASSIGN_OR_RETURN(std::vector<uint32_t> a,
+                            path.index->ProbeRange(path.lo, path.hi, &pstats));
+      XQDB_ASSIGN_OR_RETURN(
+          std::vector<uint32_t> b,
+          path.index2->ProbeRange(path.lo2, path.hi2, &pstats));
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(out.row_ids));
+      break;
+    }
+    case AccessPath::Kind::kIndexOnly:
+      if (!path.index->ScanDoubleEntries(&out.entries, &pstats)) {
+        return Probe{};
+      }
+      break;
+    case AccessPath::Kind::kFullScan:
+    case AccessPath::Kind::kIndexJoinProbe:
+      break;
+  }
+  stats->index_entries_probed += static_cast<long long>(pstats.entries_scanned);
+  // Zero for a covering scan: CoveringAggregate counts the rows its
+  // entries came from once the snapshot has filtered them.
+  stats->index_docs_returned += static_cast<long long>(out.row_ids.size());
+  out.prefilter = true;
+  return out;
+}
+
+Result<Sequence> SqlExecutor::CoveringAggregate(
+    const AccessPath& path, const Table& table,
+    std::vector<DoubleIndexEntry> entries, ExecStats* stats) {
+  std::vector<DoubleIndexEntry> visible;
+  visible.reserve(entries.size());
+  for (const DoubleIndexEntry& e : entries) {
+    if (table.VisibleAt(e.row, snapshot_epoch_)) visible.push_back(e);
+  }
+  // Key order out of the tree; the aggregates below are specified over
+  // document order (sum accumulates left to right; min/max keep the first
+  // of equal keys), so re-sort by (row, node id).
+  std::sort(visible.begin(), visible.end(),
+            [](const DoubleIndexEntry& a, const DoubleIndexEntry& b) {
+              return a.row != b.row ? a.row < b.row : a.node < b.node;
+            });
+  const size_t n = visible.size();
+  Sequence items;
+  switch (path.index_only_agg) {
+    case AccessPath::IndexOnlyAgg::kNone:
+      return Status::Internal("index-only plan without an aggregate");
+    case AccessPath::IndexOnlyAgg::kCount:
+      items.push_back(Item(AtomicValue::Integer(static_cast<long long>(n))));
+      break;
+    case AccessPath::IndexOnlyAgg::kSum: {
+      // fn:sum of untyped values casts each to double; the empty sequence
+      // sums to xs:integer 0 (functions.cc FnSum).
+      if (n == 0) {
+        items.push_back(Item(AtomicValue::Integer(0)));
+      } else {
+        double sum = 0;
+        for (const DoubleIndexEntry& e : visible) sum += e.key;
+        items.push_back(Item(AtomicValue::Double(sum)));
+      }
+      break;
+    }
+    case AccessPath::IndexOnlyAgg::kAvg: {
+      if (n > 0) {  // fn:avg of () is ().
+        double sum = 0;
+        for (const DoubleIndexEntry& e : visible) sum += e.key;
+        items.push_back(
+            Item(AtomicValue::Double(sum / static_cast<double>(n))));
+      }
+      break;
+    }
+    case AccessPath::IndexOnlyAgg::kMin:
+    case AccessPath::IndexOnlyAgg::kMax: {
+      if (n > 0) {  // fn:min/max of () is ().
+        const bool want_min =
+            path.index_only_agg == AccessPath::IndexOnlyAgg::kMin;
+        double best = visible[0].key;
+        for (size_t i = 1; i < n; ++i) {
+          const double k = visible[i].key;
+          // Strict compare: equal keys keep the earlier value, matching the
+          // evaluator's MinMax loop. NaN cannot appear — KeyFor skips NaN
+          // keys and ResolveAccess proved there were no cast skips.
+          if (want_min ? k < best : k > best) best = k;
+        }
+        items.push_back(Item(AtomicValue::Double(best)));
+      }
+      break;
+    }
+  }
+  long long distinct_rows = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || visible[i].row != visible[i - 1].row) ++distinct_rows;
+  }
+  stats->index_docs_returned += distinct_rows;
+  stats->index_only_rows += static_cast<long long>(n);
+  stats->xquery_evals = 1;
+  // docs_scanned and rows_scanned stay 0: no document was opened.
+  return items;
+}
+
+Result<Sequence> SqlExecutor::RunXQuery(const ParsedQuery& parsed,
+                                        const XQueryPlan& plan,
+                                        QueryRuntime* runtime,
+                                        ExecStats* stats) {
+  // Statically-empty body (DESIGN.md §13): the planner proved the result
+  // is the empty sequence and that evaluation cannot raise. The proof's
+  // emptiness witnesses are only as current as the DataGuide they were
+  // made against, so re-verify each against the live summary — DML since
+  // planning demotes to the access path below, keeping results exact. A
+  // witness probe walks the summary trie; no document is opened either way.
+  if (plan.static_empty && static_enabled_ &&
+      VerifyEmptyWitnesses(*catalog_, plan.static_witnesses)) {
+    stats->static_pruned_exprs = 1;
+    return Sequence{};  // zero items, zero rows, docs_scanned = 0
+  }
+
+  const AccessPath& access = plan.access;
+  Probe probe;
+  if (access.kind != AccessPath::Kind::kFullScan) {
+    XQDB_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(access.table));
+    XQDB_ASSIGN_OR_RETURN(probe, ResolveAccess(access, *table, stats));
+    if (probe.prefilter && access.kind == AccessPath::Kind::kIndexOnly) {
+      return CoveringAggregate(access, *table, std::move(probe.entries),
+                               stats);
+    }
+  }
+  std::unique_ptr<FilteredProvider> filtered;
+  const XmlColumnProvider* provider = &snapshot_provider_;
+  if (probe.prefilter) {
+    filtered = std::make_unique<FilteredProvider>(
+        catalog_, access.table, access.column, std::move(probe.row_ids),
+        snapshot_epoch_);
+    provider = filtered.get();
+  }
+
+  Evaluator eval(&parsed.static_context, provider, runtime);
+  eval.set_structural_enabled(structural_enabled_);
+  eval.set_stats(stats);
+  XQDB_ASSIGN_OR_RETURN(Sequence items, eval.Eval(*parsed.body));
+  stats->rows_scanned = eval.docs_navigated();
+  // Without an index pre-filter every navigated document was visited
+  // blind — that is a collection scan, the ineligible shape of Definition
+  // 1; with one, the documents the evaluator saw were index-admitted and
+  // already counted in index_docs_returned.
+  if (!probe.prefilter) stats->docs_scanned = eval.docs_navigated();
+  stats->xquery_evals = 1;
+  return items;
 }
 
 }  // namespace xqdb

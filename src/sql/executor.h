@@ -13,6 +13,7 @@
 #include "sql/plan.h"
 #include "sql/sql_ast.h"
 #include "storage/catalog.h"
+#include "xquery/parser.h"
 #include "xquery/structural_join.h"
 
 namespace xqdb {
@@ -30,10 +31,13 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Executes bound SELECT statements against the catalog, following the
-/// access paths chosen by the planner. Joins are nested loops in FROM
-/// order; XMLTABLE items are lateral. The full WHERE clause is re-applied
-/// after index pre-filtering (indexes only need Definition 1's guarantee).
+/// Executes bound SELECT statements and standalone XQuery bodies against
+/// the catalog, following the access paths chosen by the planner. Joins
+/// are nested loops in FROM order; XMLTABLE items are lateral. The full
+/// predicate is re-applied after index pre-filtering (indexes only need
+/// Definition 1's guarantee). Every plan-time assumption a path rests on is
+/// re-checked against the live data here, in ResolveAccess and at the two
+/// static-emptiness witness gates.
 ///
 /// Every row visit and every db2-fn:xmlcolumn resolution is gated on
 /// `snapshot_epoch`: rows inserted after the snapshot, or deleted at or
@@ -63,6 +67,14 @@ class SqlExecutor {
 
   Result<ResultSet> Run(const SelectStmt& stmt, const SelectPlan& plan);
 
+  /// Evaluates a standalone XQuery under its plan: the statically-empty
+  /// shortcut, the covering index-only aggregate, or the body evaluated
+  /// over the pre-filtered (or whole) collection. Constructed nodes live in
+  /// `runtime`; counters accumulate into `stats`.
+  Result<Sequence> RunXQuery(const ParsedQuery& parsed,
+                             const XQueryPlan& plan, QueryRuntime* runtime,
+                             ExecStats* stats);
+
   /// DELETE FROM t [WHERE cond]: evaluates the condition per snapshot-
   /// visible row and tombstones matches at `write_epoch` (physical index
   /// maintenance is deferred until no pinned snapshot can see the rows).
@@ -78,10 +90,33 @@ class SqlExecutor {
     std::string qualifier;  // table alias
     std::string name;
   };
-  struct ExecContext {
-    std::vector<ColumnSlot> schema;
-    std::vector<std::vector<SqlValue>> rows;
+
+  /// What a planned access path delivers once its plan-time assumptions
+  /// are re-checked against the live data.
+  struct Probe {
+    /// False: no pre-filter applies (a scan plan, or a demoted one) and
+    /// the caller visits every snapshot-visible row.
+    bool prefilter = false;
+    /// Candidate rows, ascending; not yet checked against the snapshot.
+    std::vector<uint32_t> row_ids;
+    /// kIndexOnly: every entry of the covering index, in key order.
+    std::vector<DoubleIndexEntry> entries;
   };
+
+  /// The one site that trusts a plan-time assumption at run time. A
+  /// summary-derived containment claim must still hold for the live path
+  /// summary, and a covering index-only plan needs batch execution on and
+  /// zero tolerant cast skips in its index. A path whose assumptions fail
+  /// demotes to the scan; otherwise it is probed and metered.
+  Result<Probe> ResolveAccess(const AccessPath& path, const Table& table,
+                              ExecStats* stats);
+
+  /// fn:count/sum/avg/min/max of a covering index-only plan, computed from
+  /// the index entries of the rows visible in the snapshot.
+  Result<Sequence> CoveringAggregate(const AccessPath& path,
+                                     const Table& table,
+                                     std::vector<DoubleIndexEntry> entries,
+                                     ExecStats* stats);
 
   Result<SqlValue> EvalScalar(const SqlExpr& e,
                               const std::vector<ColumnSlot>& schema,

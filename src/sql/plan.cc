@@ -113,7 +113,7 @@ std::string XQueryPlan::Explain() const {
              " (re-verified against the live path summary at execution; a "
              "stale proof demotes to the plan below)\n";
   }
-  if (!use_index) {
+  if (access.kind == AccessPath::Kind::kFullScan) {
     std::string out = prefix + "  COLLECTION SCAN";
     if (!access.summary.empty()) out += "  -- " + access.summary;
     for (const std::string& note : access.notes) {
@@ -121,7 +121,7 @@ std::string XQueryPlan::Explain() const {
     }
     return out + "\n";
   }
-  std::string out = prefix + "  " + table + "." + column + ": ";
+  std::string out = prefix + "  " + access.table + "." + access.column + ": ";
   out += AccessPathToString(access);
   return out + "\n";
 }

@@ -41,17 +41,20 @@ struct AccessPath {
   const Expr* join_key_expr = nullptr;
   const EmbeddedXQuery* join_source = nullptr;
 
+  // The XML column this path reads: whose indexes it probes, whose path
+  // summary it consults, and which source a standalone XQuery pre-filters.
+  std::string table;
+  std::string column;
+
   // kSummaryExistence, and the data-dependent containment refinement on
   // kIndexStructural: the compiled query-path automaton to run against the
-  // (table, column)'s path summary, and — for the refinement — the index
-  // pattern automaton the coverage claim must be re-verified against at
-  // execution time (the claim depends on the collection's current path
-  // set, which DML can grow after the plan is cached).
+  // column's path summary, and — for the refinement — the index pattern
+  // automaton the coverage claim must be re-verified against at execution
+  // time (the claim depends on the collection's current path set, which
+  // DML can grow after the plan is cached).
   std::shared_ptr<const PatternNfa> summary_nfa;
   std::shared_ptr<const PatternNfa> containment_nfa;
   bool summary_containment = false;
-  std::string summary_table;
-  std::string summary_column;
   std::string summary_path_text;
 
   // kIndexOnly: the covering aggregate and the query path it covers. The
@@ -110,11 +113,9 @@ struct SelectPlan {
 };
 
 /// Plan for a standalone XQuery: at most one pre-filtering index probe on
-/// the dominant xmlcolumn source (Definition 1).
+/// the dominant xmlcolumn source (Definition 1). A kFullScan access is the
+/// collection scan.
 struct XQueryPlan {
-  bool use_index = false;
-  std::string table;
-  std::string column;
   AccessPath access;
 
   /// The body is statically empty-sequence() and cannot raise: execution
