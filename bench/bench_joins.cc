@@ -1,8 +1,10 @@
 // Experiment E3.3 (paper §3.3, Queries 13–16, Tips 5/6): joins between XML
-// values and relational values. xqdb executes joins as nested loops with
-// residual predicates; the benchmark shows the cost shapes the paper
-// discusses (XQuery-side vs SQL-side comparisons, XMLCAST overhead) and the
-// EXPLAIN output records the eligibility decisions.
+// values and relational values. xqdb executes these value equi-joins as
+// hash joins with residual predicates (DESIGN.md §14), or as an index
+// probe per outer row where an index serves the inner table;
+// XQDB_BATCH=off restores the nested loops. The benchmark shows the cost
+// shapes the paper discusses (XQuery-side vs SQL-side comparisons, XMLCAST
+// overhead) and the EXPLAIN output records the eligibility decisions.
 
 #include <benchmark/benchmark.h>
 
@@ -85,8 +87,9 @@ BENCHMARK(BM_Query16_IndexNestedLoopProbe)->Arg(200)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Query16_SameOrderNoIndex(benchmark::State& state) {
-  // The same customer-outer join order without the index: plain nested
-  // loop, scanning every order per customer.
+  // The same customer-outer join order without the index: the orders are
+  // hashed once (a nested loop, XQDB_BATCH=off, scans every order per
+  // customer).
   auto* db = GetDatabase(Config(static_cast<int>(state.range(0))), {});
   RunSqlBenchmark(state, db,
                   "SELECT c.cid, o.ordid FROM customer c, orders o "

@@ -51,35 +51,6 @@ Diagnostic* AddDiag(LintReport* report, DiagCode code, SourceSpan span,
   return &report->diagnostics.back();
 }
 
-void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  fn(e);
-  for (const auto& c : e.children) {
-    if (c != nullptr) WalkExpr(*c, fn);
-  }
-  if (e.path_source != nullptr) WalkExpr(*e.path_source, fn);
-  for (const PathStep& step : e.steps) {
-    if (step.expr != nullptr) WalkExpr(*step.expr, fn);
-    for (const auto& p : step.predicates) {
-      if (p != nullptr) WalkExpr(*p, fn);
-    }
-  }
-  for (const auto& clause : e.clauses) {
-    if (clause.expr != nullptr) WalkExpr(*clause.expr, fn);
-  }
-  if (e.where != nullptr) WalkExpr(*e.where, fn);
-  for (const auto& spec : e.order_by) {
-    if (spec.key != nullptr) WalkExpr(*spec.key, fn);
-  }
-  for (const auto& part : e.ctor_content) {
-    if (part.expr != nullptr) WalkExpr(*part.expr, fn);
-  }
-  for (const auto& attr : e.ctor_attrs) {
-    for (const auto& part : attr.value_parts) {
-      if (part.expr != nullptr) WalkExpr(*part.expr, fn);
-    }
-  }
-}
-
 void WalkSqlExpr(const SqlExpr& e,
                  const std::function<void(const SqlExpr&)>& fn) {
   fn(e);
@@ -571,15 +542,17 @@ void AnalyzeBody(const Expr& body, const XqContext& ctx, LintReport* report) {
         "instead of path/step = value";
   }
 
-  // Tip 5: a join across xmlcolumn sources inside one XQuery is a nested
-  // loop; expressed in SQL the planner can order it and probe an index.
+  // Tip 5: a join across xmlcolumn sources inside one XQuery runs in
+  // clause order with no index; expressed in SQL the planner can order it
+  // and probe an index.
   if (ctx.sources.size() >= 2) {
     AddDiag(report, DiagCode::kXQL005_XQuerySideJoin, SourceSpan{},
             "this query joins " + std::to_string(ctx.sources.size()) +
-                " XML column sources inside XQuery — evaluation is a "
-                "nested loop; express the join in SQL (one XMLEXISTS per "
-                "table) so the optimizer can pick the join order and probe "
-                "an index");
+                " XML column sources inside XQuery — evaluation follows "
+                "the clause order (a nested loop, or a hash join on one "
+                "value equality) and no index can serve it; express the "
+                "join in SQL (one XMLEXISTS per table) so the optimizer "
+                "can pick the join order and probe an index");
   }
 
   // Extraction-driven findings: harvest the planner's tagged notes and run

@@ -306,7 +306,7 @@ Result<Database::XQueryResult> Database::ExecuteXQueryInternal(
   XQDB_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseXQuery(query));
   const long long parse_end = NowNs();
   XQDB_ASSIGN_OR_RETURN(XQueryPlan plan, MakePlanner(&catalog_, options)
-                                              .PlanXQuery(*parsed.body));
+                                              .PlanXQuery(*parsed.body, query));
   if (options.force_scan) ForceScan(&plan.access);
   const long long plan_end = NowNs();
   auto entry = std::make_shared<CachedXQuery>();
@@ -346,7 +346,8 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
 Result<std::string> Database::ExplainXQuery(const std::string& query) {
   XQDB_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseXQuery(query));
   Planner planner(&catalog_);
-  XQDB_ASSIGN_OR_RETURN(XQueryPlan plan, planner.PlanXQuery(*parsed.body));
+  XQDB_ASSIGN_OR_RETURN(XQueryPlan plan,
+                        planner.PlanXQuery(*parsed.body, query));
   std::string out = plan.Explain();
   AppendLint(&out, AnalyzeXQuery(parsed, query, &catalog_).Render(query));
   return out;

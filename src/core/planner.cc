@@ -6,6 +6,7 @@
 
 #include "core/eligibility.h"
 #include "core/predicate_extract.h"
+#include "xquery/evaluator.h"
 
 namespace xqdb {
 
@@ -156,6 +157,210 @@ std::optional<std::string> XmlColumnOfRef(const SqlExpr& e,
   return e.column;
 }
 
+/// Adds to `items` the FROM item (per `item_of`, parallel to `schema`)
+/// each column reference in `e` resolves to, PASSING arguments included.
+/// False when a reference is unknown or ambiguous: its evaluation raises
+/// on every row.
+bool ItemsRead(const SqlExpr& e, const std::vector<ColumnSlot>& schema,
+               const std::vector<size_t>& item_of, std::set<size_t>* items) {
+  if (e.kind == SqlExprKind::kColumnRef) {
+    const int slot = ResolveColumn(schema, e.qualifier, e.column);
+    if (slot < 0) return false;
+    items->insert(item_of[static_cast<size_t>(slot)]);
+    return true;
+  }
+  if (e.xquery != nullptr) {
+    for (const PassingArg& arg : e.xquery->passing) {
+      if (arg.value == nullptr ||
+          !ItemsRead(*arg.value, schema, item_of, items)) {
+        return false;
+      }
+    }
+  }
+  for (const auto& c : e.children) {
+    if (c != nullptr && !ItemsRead(*c, schema, item_of, items)) return false;
+  }
+  return true;
+}
+
+/// `e` as written in `text`, the query it was parsed from; the debug
+/// form when the span is missing.
+std::string SourceText(const Expr& e, std::string_view text) {
+  if (!e.span.IsValid() || e.span.end > text.size()) return ExprToString(e);
+  return std::string(text.substr(e.span.begin, e.span.end - e.span.begin));
+}
+
+/// True when `e` evaluates the same whatever its focus: `$var`, a path
+/// rooted at `$var` (its later steps have their own focus), a literal, or a
+/// cast or function call over such operands.
+bool IgnoresFocus(const Expr& e, const std::string& var) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kVarRef:
+      return e.var == var;
+    case ExprKind::kPath:
+      return !e.absolute && e.path_source == nullptr && !e.steps.empty() &&
+             !e.steps[0].is_axis_step && e.steps[0].expr != nullptr &&
+             IgnoresFocus(*e.steps[0].expr, var);
+    case ExprKind::kCastAs:
+    case ExprKind::kFunctionCall:
+      if (e.children.empty()) return false;
+      for (const auto& c : e.children) {
+        if (c == nullptr || !IgnoresFocus(*c, var)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The context nodes of `path`'s final predicate: the same path with that
+/// predicate dropped. `path` is `$var` followed by predicate-free axis
+/// steps and one predicated axis step (MatchXmlExistsJoin checked).
+std::shared_ptr<const Expr> PredicateContexts(const Expr& path) {
+  auto out = std::make_shared<Expr>(ExprKind::kPath);
+  PathStep root;
+  root.is_axis_step = false;
+  root.expr = std::make_unique<Expr>(ExprKind::kVarRef);
+  root.expr->var = path.steps[0].expr->var;
+  out->steps.push_back(std::move(root));
+  for (size_t i = 1; i < path.steps.size(); ++i) {
+    PathStep step;
+    step.axis = path.steps[i].axis;
+    step.test = path.steps[i].test;
+    out->steps.push_back(std::move(step));
+  }
+  return out;
+}
+
+/// The XMLEXISTS join shape of Queries 13 and 16:
+///   XMLEXISTS('$a/step/.../step[K_a = K_b]' PASSING x AS "a", y AS "b")
+/// with predicate-free axis steps before the one predicated final step.
+/// K_b reads only $b and ignores the focus, so it is one key set per row
+/// of y's item; K_a reads no $b and no position, so per context node it
+/// is one key set per row of x's item. Fills `spec`'s keys, oriented so
+/// `build` belongs to `build_item`; the caller checks the items.
+bool MatchXmlExistsJoin(const SqlExpr& conjunct,
+                        const std::vector<ColumnSlot>& schema,
+                        const std::vector<size_t>& item_of,
+                        HashJoinSpec* spec) {
+  const EmbeddedXQuery& q = *conjunct.xquery;
+  if (q.passing.size() != 2 || q.parsed.body == nullptr ||
+      q.passing[0].var_name == q.passing[1].var_name) {
+    return false;
+  }
+  size_t arg_item[2];
+  for (size_t a = 0; a < 2; ++a) {
+    std::set<size_t> items;
+    if (q.passing[a].value == nullptr ||
+        !ItemsRead(*q.passing[a].value, schema, item_of, &items) ||
+        items.size() != 1) {
+      return false;
+    }
+    arg_item[a] = *items.begin();
+  }
+  if (arg_item[0] == arg_item[1]) return false;
+
+  const Expr& body = *q.parsed.body;
+  if (body.kind != ExprKind::kPath || body.absolute ||
+      body.path_source != nullptr || body.steps.size() < 2 ||
+      body.steps[0].is_axis_step || body.steps[0].expr == nullptr ||
+      body.steps[0].expr->kind != ExprKind::kVarRef ||
+      !body.steps[0].predicates.empty()) {
+    return false;
+  }
+  for (size_t i = 1; i < body.steps.size(); ++i) {
+    const PathStep& step = body.steps[i];
+    const bool last = i + 1 == body.steps.size();
+    if (!step.is_axis_step || step.predicates.size() != (last ? 1u : 0u)) {
+      return false;
+    }
+  }
+  const Expr& cmp = *body.steps.back().predicates[0];
+  if ((cmp.kind != ExprKind::kGeneralCompare &&
+       cmp.kind != ExprKind::kValueCompare) ||
+      cmp.cmp_op != CompareOp::kEq || cmp.children.size() != 2) {
+    return false;
+  }
+
+  const std::string& root_var = body.steps[0].expr->var;
+  size_t root = 2;
+  for (size_t a = 0; a < 2; ++a) {
+    if (q.passing[a].var_name == root_var) root = a;
+  }
+  if (root == 2) return false;
+  const PassingArg& root_arg = q.passing[root];
+  const PassingArg& other_arg = q.passing[1 - root];
+  const std::string& other_var = other_arg.var_name;
+
+  for (size_t side = 0; side < 2; ++side) {
+    const Expr& context_key = *cmp.children[side];
+    const Expr& other_key = *cmp.children[1 - side];
+    if (!IgnoresFocus(other_key, other_var) ||
+        ReadsVariable(other_key,
+                      [&](const std::string& v) { return v != other_var; }) ||
+        ReadsVariable(context_key,
+                      [&](const std::string& v) { return v == other_var; })) {
+      continue;
+    }
+    bool positional = false;
+    WalkExpr(context_key, [&](const Expr& x) {
+      if (x.kind == ExprKind::kFunctionCall &&
+          (x.fn_name == "fn:position" || x.fn_name == "fn:last")) {
+        positional = true;
+      }
+    });
+    if (positional) continue;
+
+    HashJoinKey root_key{nullptr, &root_arg, PredicateContexts(body),
+                         &context_key};
+    HashJoinKey other{nullptr, &other_arg, nullptr, &other_key};
+    const bool root_builds = arg_item[root] > arg_item[1 - root];
+    spec->build_item = std::max(arg_item[0], arg_item[1]);
+    spec->build = root_builds ? root_key : other;
+    spec->probe = root_builds ? other : root_key;
+    spec->source = &q;
+    spec->value_comparison = cmp.kind == ExprKind::kValueCompare;
+    spec->description = "HASH JOIN ON " + SourceText(cmp, q.text);
+    return true;
+  }
+  return false;
+}
+
+/// The SQL join shape of Query 15: `x = y` where x reads only one FROM
+/// item and y only earlier ones (or the other way round).
+bool MatchSqlCompareJoin(const SqlExpr& conjunct,
+                         const std::vector<ColumnSlot>& schema,
+                         const std::vector<size_t>& item_of,
+                         HashJoinSpec* spec) {
+  if (conjunct.kind != SqlExprKind::kCompare ||
+      conjunct.cmp_op != CompareOp::kEq || conjunct.children.size() != 2) {
+    return false;
+  }
+  std::set<size_t> items[2];
+  for (size_t side = 0; side < 2; ++side) {
+    if (conjunct.children[side] == nullptr ||
+        !ItemsRead(*conjunct.children[side], schema, item_of,
+                   &items[side]) ||
+        items[side].empty()) {
+      return false;
+    }
+  }
+  for (size_t side = 0; side < 2; ++side) {
+    const std::set<size_t>& build = items[side];
+    const std::set<size_t>& probe = items[1 - side];
+    if (build.size() == 1 && *probe.rbegin() < *build.begin()) {
+      spec->build_item = *build.begin();
+      spec->build.sql = conjunct.children[side].get();
+      spec->probe.sql = conjunct.children[1 - side].get();
+      spec->description = "HASH JOIN ON " + SqlExprToString(conjunct);
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<std::pair<std::string, std::string>> CollectXmlColumnSources(
@@ -253,6 +458,50 @@ void Planner::FoldStaticConjuncts(
     }
     plan->folds.push_back(std::move(fold));
   }
+}
+
+void Planner::PlanHashJoin(const SelectStmt& stmt,
+                           const std::vector<const SqlExpr*>& conjuncts,
+                           SelectPlan* plan) const {
+  // SQL AND short-circuits left to right: only a first-conjunct join
+  // proves that a pair it rejects never evaluates anything else.
+  if (conjuncts.empty()) return;
+  // The row schema the WHERE clause is evaluated against, and the FROM
+  // item of each column.
+  std::vector<ColumnSlot> schema;
+  std::vector<size_t> item_of;
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    const TableRef& ref = stmt.from[i];
+    if (ref.kind == TableRef::Kind::kXmlTable) {
+      for (const XmlTableColumn& col : ref.columns) {
+        schema.push_back(ColumnSlot{ref.alias, col.name});
+        item_of.push_back(i);
+      }
+      continue;
+    }
+    auto table = catalog_->GetTable(ref.table_name);
+    if (!table.ok()) return;
+    for (const ColumnDef& col : table.value()->columns()) {
+      schema.push_back(ColumnSlot{ref.alias, col.name});
+      item_of.push_back(i);
+    }
+  }
+  HashJoinSpec spec;
+  spec.conjunct = conjuncts[0];
+  const bool matched =
+      conjuncts[0]->kind == SqlExprKind::kXmlExists
+          ? MatchXmlExistsJoin(*conjuncts[0], schema, item_of, &spec)
+          : MatchSqlCompareJoin(*conjuncts[0], schema, item_of, &spec);
+  if (!matched) return;
+  const TableRef& build = stmt.from[spec.build_item];
+  // An index-nested-loop probe on the same item still wins (Tips 5/6).
+  if (build.kind != TableRef::Kind::kBaseTable ||
+      plan->access[spec.build_item].kind ==
+          AccessPath::Kind::kIndexJoinProbe) {
+    return;
+  }
+  spec.description += " (build: " + build.alias + ")";
+  plan->hash_join = std::move(spec);
 }
 
 Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
@@ -420,11 +669,21 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
         chosen.notes.end());
     access = std::move(chosen);
   }
+  PlanHashJoin(stmt, where_conjuncts, &plan);
   return plan;
 }
 
-Result<XQueryPlan> Planner::PlanXQuery(const Expr& body) const {
+Result<XQueryPlan> Planner::PlanXQuery(const Expr& body,
+                                       std::string_view text) const {
   XQueryPlan plan;
+
+  // FLWOR hash joins are chosen by the evaluator as it meets each FLWOR
+  // (DESIGN.md §14); the plan only describes them.
+  WalkExpr(body, [&](const Expr& e) {
+    if (!FindFlworHashJoin(e).has_value()) return;
+    plan.hash_joins.push_back("HASH JOIN ON " + SourceText(*e.where, text) +
+                              " (build: $" + e.clauses.back().var + ")");
+  });
 
   // Static type/cardinality inference (DESIGN.md §13): a body proven
   // empty-sequence() — and proven unable to raise — executes as a

@@ -2,6 +2,7 @@
 #define XQDB_CORE_PLANNER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/static_types.h"
@@ -37,7 +38,9 @@ class Planner {
   /// Standalone XQuery: picks (at most) one pre-filtering index probe over
   /// one xmlcolumn source (Definition 1 composes, but one probe captures
   /// the paper's experiments).
-  Result<XQueryPlan> PlanXQuery(const Expr& body) const;
+  /// `text`, the query `body` was parsed from, is only quoted in EXPLAIN.
+  Result<XQueryPlan> PlanXQuery(const Expr& body,
+                                std::string_view text = {}) const;
 
  private:
   /// The static type/cardinality fold pass (DESIGN.md §13): for every
@@ -49,6 +52,14 @@ class Planner {
   void FoldStaticConjuncts(const SelectStmt& stmt,
                            const std::vector<const SqlExpr*>& conjuncts,
                            SelectPlan* plan) const;
+
+  /// Records the hash join (DESIGN.md §14) when the first WHERE conjunct
+  /// is an equi-join between a later base table no index probe serves and
+  /// earlier FROM items: an XMLEXISTS predicate comparing the two PASSING
+  /// variables (Queries 13/16) or an SQL `=` (Query 15).
+  void PlanHashJoin(const SelectStmt& stmt,
+                    const std::vector<const SqlExpr*>& conjuncts,
+                    SelectPlan* plan) const;
 
   const Catalog* catalog_;
   bool static_enabled_ = StaticFoldDefault();

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "observability/metrics.h"
+
 namespace xqdb {
 
 namespace {
@@ -32,6 +34,7 @@ constexpr Field kCounters[] = {
     {"summary_pruned_paths", &ExecStats::summary_pruned_paths},
     {"static_pruned_exprs", &ExecStats::static_pruned_exprs},
     {"static_folded_conjuncts", &ExecStats::static_folded_conjuncts},
+    {"hash_join_fallbacks", &ExecStats::hash_join_fallbacks},
 };
 
 constexpr Field kTimings[] = {
@@ -76,6 +79,13 @@ std::string ExecStats::Render() const {
                 parse_ns / 1e3, plan_ns / 1e3, exec_ns / 1e3, total_ns / 1e3);
   out += buf;
   return out;
+}
+
+void CountHashJoinFallback(ExecStats* stats) {
+  static Counter* const fallbacks =
+      MetricsRegistry::Global().GetCounter("exec.hash_join_fallbacks");
+  fallbacks->Increment();
+  if (stats != nullptr) ++stats->hash_join_fallbacks;
 }
 
 }  // namespace xqdb

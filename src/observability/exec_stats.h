@@ -57,6 +57,11 @@ struct ExecStats {
   long long static_folded_conjuncts = 0;  // proven-true WHERE conjuncts
                                           // dropped without evaluation
 
+  // -- Hash-join counters (DESIGN.md §14) -----------------------------------
+  long long hash_join_fallbacks = 0;      // hash joins abandoned for the
+                                          // nested loop: a key raised or
+                                          // would make the comparison cast
+
   // -- Phase timings (monotonic nanoseconds; 0 = phase skipped, e.g.
   // parse/plan on a plan-cache hit) ---------------------------------------
   long long parse_ns = 0;
@@ -86,6 +91,7 @@ struct ExecStats {
     summary_pruned_paths += o.summary_pruned_paths;
     static_pruned_exprs += o.static_pruned_exprs;
     static_folded_conjuncts += o.static_folded_conjuncts;
+    hash_join_fallbacks += o.hash_join_fallbacks;
     parse_ns += o.parse_ns;
     plan_ns += o.plan_ns;
     exec_ns += o.exec_ns;
@@ -100,6 +106,11 @@ struct ExecStats {
   /// Zero-valued counters are elided; timings print in microseconds.
   std::string Render() const;
 };
+
+/// Counts one hash join abandoned for the nested loop: in `stats` (when
+/// non-null) and in the process-wide `exec.hash_join_fallbacks` counter,
+/// which also sees the fallbacks of statements that then fail.
+void CountHashJoinFallback(ExecStats* stats);
 
 }  // namespace xqdb
 

@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/str_util.h"
@@ -67,6 +68,7 @@ Result<Sequence> SqlExecutor::EvalEmbeddedXQuery(
     ExecStats* stats) {
   Evaluator eval(&q.parsed.static_context, &snapshot_provider_, runtime);
   eval.set_structural_enabled(structural_enabled_);
+  eval.set_hash_join_enabled(batch_enabled_);
   eval.set_stats(stats);
   for (const PassingArg& arg : q.passing) {
     XQDB_ASSIGN_OR_RETURN(SqlValue v,
@@ -126,17 +128,10 @@ Result<SqlValue> SqlExecutor::EvalScalar(const SqlExpr& e,
     case SqlExprKind::kLiteral:
       return e.literal;
     case SqlExprKind::kColumnRef: {
-      int found = -1;
-      for (size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name != e.column) continue;
-        if (!e.qualifier.empty() && schema[i].qualifier != e.qualifier) {
-          continue;
-        }
-        if (found >= 0) {
-          return Status::InvalidArgument("ambiguous column reference " +
-                                         e.column);
-        }
-        found = static_cast<int>(i);
+      const int found = ResolveColumn(schema, e.qualifier, e.column);
+      if (found == -2) {
+        return Status::InvalidArgument("ambiguous column reference " +
+                                       e.column);
       }
       if (found < 0) {
         return Status::NotFound("column " +
@@ -356,17 +351,8 @@ Result<std::vector<std::vector<SqlValue>>> SqlExecutor::FilterRows(
   if (batch_enabled_ && n > 0) {
     program = CompileBatchProgram(
         where, [&schema](const std::string& qualifier,
-                         const std::string& column) -> int {
-          int found = -1;
-          for (size_t i = 0; i < schema.size(); ++i) {
-            if (schema[i].name != column) continue;
-            if (!qualifier.empty() && schema[i].qualifier != qualifier) {
-              continue;
-            }
-            if (found >= 0) return -1;  // ambiguous
-            found = static_cast<int>(i);
-          }
-          return found;
+                         const std::string& column) {
+          return std::max(-1, ResolveColumn(schema, qualifier, column));
         });
   }
   const bool use_batch = program.any_kernel;
@@ -484,6 +470,83 @@ Result<size_t> SqlExecutor::RunDelete(const DeleteStmt& stmt,
   return victims.size();
 }
 
+bool SqlExecutor::AppendRowJoinKeys(const HashJoinSpec& spec,
+                                    const HashJoinKey& side,
+                                    const std::vector<ColumnSlot>& schema,
+                                    const std::vector<SqlValue>& row,
+                                    QueryRuntime* runtime, ExecStats* stats,
+                                    std::vector<JoinKey>* keys,
+                                    unsigned* kinds) {
+  if (side.sql != nullptr) {
+    Result<SqlValue> value = EvalScalar(*side.sql, schema, row, runtime, stats);
+    return value.ok() && value->AppendJoinKey(keys, kinds);
+  }
+  Result<SqlValue> bound =
+      EvalScalar(*side.arg->value, schema, row, runtime, stats);
+  if (!bound.ok()) return false;
+  Result<Sequence> seq = PassingToSequence(*bound);
+  if (!seq.ok()) return false;
+  Evaluator eval(&spec.source->parsed.static_context, &snapshot_provider_,
+                 runtime);
+  eval.set_structural_enabled(structural_enabled_);
+  eval.set_hash_join_enabled(batch_enabled_);
+  eval.set_stats(stats);
+  eval.BindVariable(side.arg->var_name, std::move(*seq));
+  ++stats->xquery_evals;
+  auto append = [&](const Result<Sequence>& value) {
+    if (!value.ok()) return false;
+    Result<Sequence> atoms = Atomize(*value);
+    return atoms.ok() && AppendAtomicJoinKeys(*atoms, spec.value_comparison,
+                                              keys, kinds);
+  };
+  if (side.contexts == nullptr) return append(eval.Eval(*side.key));
+  Result<Sequence> contexts = eval.Eval(*side.contexts);
+  if (!contexts.ok()) return false;
+  Focus focus;
+  focus.has_item = true;
+  for (const Item& context : *contexts) {
+    focus.item = context;
+    if (!append(eval.EvalWithFocus(*side.key, focus))) return false;
+  }
+  return true;
+}
+
+std::optional<SqlExecutor::HashJoinState> SqlExecutor::BuildHashJoin(
+    const HashJoinSpec& spec, const TableRef& ref, const Table& table,
+    const std::vector<uint32_t>& build_rows,
+    const std::vector<ColumnSlot>& probe_schema,
+    const std::vector<std::vector<SqlValue>>& rows, QueryRuntime* runtime,
+    ExecStats* stats) {
+  // Every key is computed before a row is emitted. A key that raises, or
+  // that would make the comparison cast or raise, abandons the join for
+  // the nested loop, which then raises (or not) exactly as it always did.
+  std::vector<ColumnSlot> build_schema;
+  for (const ColumnDef& col : table.columns()) {
+    build_schema.push_back(ColumnSlot{ref.alias, col.name});
+  }
+  HashJoinState state;
+  unsigned kinds = 0;
+  std::vector<JoinKey> keys;
+  bool ok = true;
+  for (size_t k = 0; ok && k < build_rows.size(); ++k) {
+    keys.clear();
+    ok = AppendRowJoinKeys(spec, spec.build, build_schema,
+                           table.row(build_rows[k]), runtime, stats, &keys,
+                           &kinds);
+    for (const JoinKey& key : keys) state.table.Add(key, build_rows[k]);
+  }
+  state.probe_keys.resize(rows.size());
+  for (size_t b = 0; ok && b < rows.size(); ++b) {
+    ok = AppendRowJoinKeys(spec, spec.probe, probe_schema, rows[b], runtime,
+                           stats, &state.probe_keys[b], &kinds);
+  }
+  if (!ok || !JoinKeyKindsCompatible(kinds)) {
+    CountHashJoinFallback(stats);
+    return std::nullopt;
+  }
+  return state;
+}
+
 Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
                                    const SelectPlan& plan) {
   ResultSet rs;
@@ -579,10 +642,42 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
       for (const ColumnDef& col : table->columns()) {
         schema.push_back(ColumnSlot{ref.alias, col.name});
       }
-      for (const auto& base : rows) {
-        std::vector<uint32_t> probe_row_ids;
+
+      // Hash join (DESIGN.md §14): batch execution only, and only while
+      // the join conjunct really evaluates (a static fold decides it
+      // without comparing keys). Each build row is read once, here.
+      std::optional<HashJoinState> hashed;
+      const HashJoinSpec* join =
+          plan.hash_join.has_value() && plan.hash_join->build_item == i
+              ? &*plan.hash_join
+              : nullptr;
+      if (join != nullptr && batch_enabled_ && !rows.empty() &&
+          static_folds_.count(join->conjunct) == 0) {
+        std::vector<uint32_t> build_rows;
+        build_rows.reserve(static_row_ids.size());
+        for (uint32_t r : static_row_ids) {
+          if (table->VisibleAt(r, snapshot_epoch_)) build_rows.push_back(r);
+        }
+        hashed = BuildHashJoin(*join, ref, *table, build_rows, base_schema,
+                               rows, rs.runtime.get(), &stats);
+        if (hashed.has_value()) {
+          const auto built = static_cast<long long>(build_rows.size());
+          stats.rows_scanned += built;
+          if (!probe.prefilter) stats.docs_scanned += built;
+        }
+      }
+
+      std::vector<uint32_t> probe_row_ids;
+      for (size_t b = 0; b < rows.size(); ++b) {
+        const std::vector<SqlValue>& base = rows[b];
         const std::vector<uint32_t>* row_ids = &static_row_ids;
-        if (per_row_probe) {
+        if (hashed.has_value()) {
+          // The hash lookup stands in for the index probe below: the rows
+          // of this item sharing a key with this row, ascending.
+          hashed->table.Lookup(hashed->probe_keys[b], &probe_row_ids);
+          row_ids = &probe_row_ids;
+        } else if (per_row_probe) {
+          probe_row_ids.clear();
           // Tips 5/6 made executable: evaluate the outer join key against
           // this row, then probe the inner table's index with it.
           Evaluator eval(&path->join_source->parsed.static_context,
@@ -631,11 +726,14 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
           // Outside the snapshot: inserted after it, deleted at or before
           // it, or (index entry for a row still being inserted) unpublished.
           if (!table->VisibleAt(r, snapshot_epoch_)) continue;
-          ++stats.rows_scanned;
           // Definition 1's audit trail: a row visited with no index
           // pre-filter is a scanned document; pre-filtered visits are
-          // already metered as index_docs_returned at the probe site.
-          if (!from_index) ++stats.docs_scanned;
+          // already metered as index_docs_returned at the probe site, and
+          // hash-joined rows when the table was built.
+          if (!hashed.has_value()) {
+            ++stats.rows_scanned;
+            if (!from_index) ++stats.docs_scanned;
+          }
           std::vector<SqlValue> combined = base;
           const std::vector<SqlValue>& trow = table->row(r);
           combined.insert(combined.end(), trow.begin(), trow.end());
@@ -935,6 +1033,7 @@ Result<Sequence> SqlExecutor::RunXQuery(const ParsedQuery& parsed,
 
   Evaluator eval(&parsed.static_context, provider, runtime);
   eval.set_structural_enabled(structural_enabled_);
+  eval.set_hash_join_enabled(batch_enabled_);
   eval.set_stats(stats);
   XQDB_ASSIGN_OR_RETURN(Sequence items, eval.Eval(*parsed.body));
   stats->rows_scanned = eval.docs_navigated();

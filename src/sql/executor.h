@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "sql/plan.h"
 #include "sql/sql_ast.h"
 #include "storage/catalog.h"
+#include "xdm/join_key.h"
 #include "xquery/parser.h"
 #include "xquery/structural_join.h"
 
@@ -33,7 +35,8 @@ struct ResultSet {
 
 /// Executes bound SELECT statements and standalone XQuery bodies against
 /// the catalog, following the access paths chosen by the planner. Joins
-/// are nested loops in FROM order; XMLTABLE items are lateral. The full
+/// run in FROM order: a planned hash join or index probe where there is
+/// one, otherwise a nested loop; XMLTABLE items are lateral. The full
 /// predicate is re-applied after index pre-filtering (indexes only need
 /// Definition 1's guarantee). Every plan-time assumption a path rests on is
 /// re-checked against the live data here, in ResolveAccess and at the two
@@ -86,11 +89,6 @@ class SqlExecutor {
                            ExecStats* stats = nullptr);
 
  private:
-  struct ColumnSlot {
-    std::string qualifier;  // table alias
-    std::string name;
-  };
-
   /// What a planned access path delivers once its plan-time assumptions
   /// are re-checked against the live data.
   struct Probe {
@@ -117,6 +115,30 @@ class SqlExecutor {
                                      const Table& table,
                                      std::vector<DoubleIndexEntry> entries,
                                      ExecStats* stats);
+
+  /// A hash join's build table and the probe keys of each current row.
+  struct HashJoinState {
+    JoinKeyTable table;  // build-item row id by key
+    std::vector<std::vector<JoinKey>> probe_keys;
+  };
+
+  /// Computes every key of `spec` — `build_rows` of the build item, then
+  /// each of `rows` — and hashes the build side. Nothing when a key raised
+  /// or would make the comparison cast or raise: the fallback is counted
+  /// and the caller runs the nested loop.
+  std::optional<HashJoinState> BuildHashJoin(
+      const HashJoinSpec& spec, const TableRef& ref, const Table& table,
+      const std::vector<uint32_t>& build_rows,
+      const std::vector<ColumnSlot>& probe_schema,
+      const std::vector<std::vector<SqlValue>>& rows, QueryRuntime* runtime,
+      ExecStats* stats);
+
+  /// Appends one row's keys for one side of `spec`; false as above.
+  bool AppendRowJoinKeys(const HashJoinSpec& spec, const HashJoinKey& side,
+                         const std::vector<ColumnSlot>& schema,
+                         const std::vector<SqlValue>& row,
+                         QueryRuntime* runtime, ExecStats* stats,
+                         std::vector<JoinKey>* keys, unsigned* kinds);
 
   Result<SqlValue> EvalScalar(const SqlExpr& e,
                               const std::vector<ColumnSlot>& schema,

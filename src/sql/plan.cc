@@ -102,6 +102,9 @@ std::string SelectPlan::Explain(const SelectStmt& stmt) const {
     out += (i < access.size()) ? AccessPathToString(access[i])
                                : std::string("TABLE SCAN");
     out += "\n";
+    if (hash_join.has_value() && hash_join->build_item == i) {
+      out += "  " + hash_join->description + "\n";
+    }
   }
   return out;
 }
@@ -113,17 +116,20 @@ std::string XQueryPlan::Explain() const {
              " (re-verified against the live path summary at execution; a "
              "stale proof demotes to the plan below)\n";
   }
+  std::string out = prefix;
   if (access.kind == AccessPath::Kind::kFullScan) {
-    std::string out = prefix + "  COLLECTION SCAN";
+    out += "  COLLECTION SCAN";
     if (!access.summary.empty()) out += "  -- " + access.summary;
     for (const std::string& note : access.notes) {
       out += "\n      note: " + note;
     }
-    return out + "\n";
+  } else {
+    out += "  " + access.table + "." + access.column + ": " +
+           AccessPathToString(access);
   }
-  std::string out = prefix + "  " + access.table + "." + access.column + ": ";
-  out += AccessPathToString(access);
-  return out + "\n";
+  out += "\n";
+  for (const std::string& join : hash_joins) out += "  " + join + "\n";
+  return out;
 }
 
 }  // namespace xqdb

@@ -2,6 +2,7 @@
 #define XQDB_SQL_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,45 @@ struct StaticFold {
   std::string description;  // EXPLAIN rendering
 };
 
+/// How one side of a hash join computes a row's keys. An SQL `=` side is
+/// the scalar `sql`. An XMLEXISTS side binds `arg`'s variable to the row's
+/// value and evaluates `key` once, or, with `contexts`, once per context
+/// node the path's final predicate is tested against.
+struct HashJoinKey {
+  const SqlExpr* sql = nullptr;
+  const PassingArg* arg = nullptr;
+  /// The XMLEXISTS path without its final predicate (owned: built by the
+  /// planner, not borrowed from the statement).
+  std::shared_ptr<const Expr> contexts;
+  const Expr* key = nullptr;
+};
+
+/// A hash equi-join on the first WHERE conjunct (DESIGN.md §14): FROM item
+/// `build_item` (a base table) is hashed on `build` keys, and every row of
+/// the earlier items looks up its `probe` keys. Only this spec is cached;
+/// the table is built per execution from the pinned snapshot.
+struct HashJoinSpec {
+  size_t build_item = 0;
+  /// Borrowed from the statement AST, like StaticFold::conjunct.
+  const SqlExpr* conjunct = nullptr;
+  /// XMLEXISTS joins: the embedded query (static context) and whether its
+  /// comparison is `eq` rather than `=`. Null for an SQL `=`.
+  const EmbeddedXQuery* source = nullptr;
+  bool value_comparison = false;
+  HashJoinKey build;
+  HashJoinKey probe;
+  std::string description;  // EXPLAIN: "HASH JOIN ON ... (build: ...)"
+};
+
 /// A full plan for one SELECT: an access path per FROM item (XMLTABLE items
 /// get a default entry whose notes describe row-producer eligibility).
 struct SelectPlan {
   std::vector<AccessPath> access;
+
+  /// The hash join the executor runs in place of the nested loop, when the
+  /// first WHERE conjunct is an equi-join on a later base table that no
+  /// index probe serves.
+  std::optional<HashJoinSpec> hash_join;
 
   /// Conjuncts with statically proven truth values (XQDB_STATIC knob;
   /// empty when static folding is disabled).
@@ -126,6 +162,9 @@ struct XQueryPlan {
   bool static_empty = false;
   std::string static_reason;
   std::vector<StaticEmptyWitness> static_witnesses;
+
+  /// EXPLAIN lines for the FLWORs the evaluator runs as hash joins.
+  std::vector<std::string> hash_joins;
 
   std::string Explain() const;
 };

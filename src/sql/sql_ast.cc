@@ -34,4 +34,16 @@ std::string SqlExprToString(const SqlExpr& e) {
   return "?";
 }
 
+int ResolveColumn(const std::vector<ColumnSlot>& schema,
+                  const std::string& qualifier, const std::string& column) {
+  int found = -1;
+  for (size_t i = 0; i < schema.size(); ++i) {
+    if (schema[i].name != column) continue;
+    if (!qualifier.empty() && schema[i].qualifier != qualifier) continue;
+    if (found >= 0) return -2;
+    found = static_cast<int>(i);
+  }
+  return found;
+}
+
 }  // namespace xqdb

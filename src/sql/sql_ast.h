@@ -169,6 +169,19 @@ struct SqlStatement {
 /// Short description of an SQL scalar expression for EXPLAIN output.
 std::string SqlExprToString(const SqlExpr& e);
 
+/// One column of a row schema: the alias of the FROM item it comes from
+/// and its name.
+struct ColumnSlot {
+  std::string qualifier;
+  std::string name;
+};
+
+/// The index in `schema` of the column a reference `qualifier.column`
+/// names (any alias when `qualifier` is empty): -1 when no column
+/// matches, -2 when several do (the reference is ambiguous).
+int ResolveColumn(const std::vector<ColumnSlot>& schema,
+                  const std::string& qualifier, const std::string& column);
+
 }  // namespace xqdb
 
 #endif  // XQDB_SQL_SQL_AST_H_

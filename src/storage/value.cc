@@ -1,5 +1,7 @@
 #include "storage/value.h"
 
+#include <cmath>
+
 #include "common/str_util.h"
 #include "xml/serializer.h"
 
@@ -122,6 +124,33 @@ Result<int> SqlValue::Compare(const SqlValue& a, const SqlValue& b) {
     return -inv;
   }
   return Status::TypeError("incomparable SQL values");
+}
+
+bool SqlValue::AppendJoinKey(std::vector<JoinKey>* keys,
+                             unsigned* kinds) const {
+  JoinKey key;
+  switch (kind_) {
+    case Kind::kNull:
+      return true;
+    case Kind::kXml:
+      return false;
+    case Kind::kInteger:
+    case Kind::kDouble: {
+      const double d = kind_ == Kind::kInteger ? static_cast<double>(int_)
+                                               : dbl_;
+      if (std::isnan(d)) return false;
+      *kinds |= kNumericJoinKey;
+      key.numeric = true;
+      key.num = d == 0 ? 0.0 : d;  // -0 == +0
+      break;
+    }
+    case Kind::kVarchar:
+      *kinds |= kStringJoinKey;
+      key.str = std::string(StripTrailingBlanks(str_));
+      break;
+  }
+  keys->push_back(std::move(key));
+  return true;
 }
 
 }  // namespace xqdb

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "xdm/item.h"
+#include "xdm/join_key.h"
 
 namespace xqdb {
 
@@ -54,6 +55,13 @@ class SqlValue {
   /// paper calls out in §3.3/§3.6). NULL compares as unknown (empty result).
   /// XML operands are not comparable (must go through XMLCAST).
   static Result<int> Compare(const SqlValue& a, const SqlValue& b);
+
+  /// Appends this value's hash-join key under Compare's equality
+  /// (DESIGN.md §14): numbers as doubles, VARCHAR without trailing blanks,
+  /// no key for NULL (an UNKNOWN comparison). Returns false where a hash
+  /// join cannot reproduce Compare: an XML value (Compare raises) or a NaN
+  /// double (Compare finds it equal to every number).
+  bool AppendJoinKey(std::vector<JoinKey>* keys, unsigned* kinds) const;
 
  private:
   Kind kind_;

@@ -19,7 +19,10 @@ struct DiffOptions {
 /// One detected disagreement. `oracle` is the equivalence that broke:
 ///   "index-vs-scan"           planner-chosen plan vs forced collection scan
 ///   "structural-vs-recursive" interval structural joins vs recursive walk
-///   "batch-vs-row"            vectorized batch kernels vs row-at-a-time
+///   "batch-vs-row"            vectorized batch kernels vs row-at-a-time;
+///                             also hash joins vs nested loops, since
+///                             row-at-a-time (disable_batch) selects the
+///                             nested-loop join
 ///   "static-vs-unoptimized"   static type/cardinality folds vs evaluating
 ///                             every conjunct (disable_static)
 ///   "parallel-vs-serial"      XQDB_THREADS=N vs the inline pool

@@ -186,7 +186,7 @@ std::string QueryGenerator::PredicateBlock() {
 
 std::string QueryGenerator::GenerateXQueryText() {
   const std::string col = "db2-fn:xmlcolumn('ORDERS.ORDDOC')";
-  switch (Pick(6)) {
+  switch (Pick(7)) {
     case 0: {
       const char* rets[] = {"$o", "$o/custid", "$o/date",
                             "count($o/lineitem)", "data($o/custid)"};
@@ -216,6 +216,25 @@ std::string QueryGenerator::GenerateXQueryText() {
     case 4:
       return "for $o in " + col + "/order" + PredicateBlock() +
              " order by $o/custid/xs:double(.), $o/date return $o/custid";
+    case 5: {
+      // Query 4's for/for/where value join, hash-joined unless
+      // row-at-a-time: a cast double join, its value-comparison form, or
+      // the untyped (string) join, with either side written first.
+      const char* const joins[][3] = {
+          {"$o/custid/xs:double(.)", "=", "$c/id/xs:double(.)"},
+          {"$o/custid/xs:double(.)", "eq", "$c/id/xs:double(.)"},
+          {"$o/custid", "=", "$c/id"},
+      };
+      const auto& join = joins[Pick(3)];
+      const bool order_first = Pick(2) == 0;
+      const std::string where =
+          std::string(join[order_first ? 0 : 2]) + " " + join[1] + " " +
+          join[order_first ? 2 : 0];
+      const char* rets[] = {"$o/custid", "$c/id", "data($o/date)"};
+      return "for $o in " + col + "/order" + PredicateBlock() +
+             " for $c in db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer where " +
+             where + " return " + rets[Pick(3)];
+    }
     default:
       return "count(" + col + "/order" + PredicateBlock() + ")";
   }
@@ -226,7 +245,7 @@ std::string QueryGenerator::GenerateSqlText() {
   // literals use double quotes.
   const std::string exists = "XMLEXISTS('$o/order" + PredicateBlock() +
                              "' PASSING orddoc AS \"o\")";
-  switch (Pick(6)) {
+  switch (Pick(8)) {
     case 0:
       return "SELECT ordid FROM orders WHERE " + exists;
     case 1: {
@@ -264,6 +283,22 @@ std::string QueryGenerator::GenerateSqlText() {
              "\"pid\" VARCHAR(13) PATH 'product/id') AS t(n, price, pid)" +
              where;
     }
+    case 6:
+      // Query 13's string join: products hash-joined with the orders
+      // (or probed, when prod_id exists) on `id eq $pid`.
+      return "SELECT p.name, o.ordid FROM products p, orders o WHERE "
+             "XMLEXISTS('$od//lineitem/product[id eq $pid]' PASSING "
+             "o.orddoc AS \"od\", p.id AS \"pid\")" +
+             (Pick(2) ? std::string(" AND o.ordid < ") +
+                            std::to_string(Pick(70))
+                      : std::string());
+    case 7:
+      // Query 15's SQL-side join: XMLCAST = XMLCAST, never index
+      // eligible, hash-joined unless row-at-a-time.
+      return "SELECT c.cid, o.ordid FROM orders o, customer c WHERE "
+             "XMLCAST(XMLQUERY('$od/order/custid' PASSING o.orddoc AS "
+             "\"od\") AS DOUBLE) = XMLCAST(XMLQUERY('$cd/customer/id' "
+             "PASSING c.cdoc AS \"cd\") AS DOUBLE)";
     default:
       // The Tips 5/6 join shape: equality join between the two XML
       // columns, probe-able when an index exists on the inner path.

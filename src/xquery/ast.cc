@@ -152,4 +152,42 @@ std::string ExprToString(const Expr& e) {
   return "(?)";
 }
 
+void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
+  fn(e);
+  for (const auto& c : e.children) {
+    if (c != nullptr) WalkExpr(*c, fn);
+  }
+  if (e.path_source != nullptr) WalkExpr(*e.path_source, fn);
+  for (const PathStep& step : e.steps) {
+    if (step.expr != nullptr) WalkExpr(*step.expr, fn);
+    for (const auto& p : step.predicates) {
+      if (p != nullptr) WalkExpr(*p, fn);
+    }
+  }
+  for (const auto& clause : e.clauses) {
+    if (clause.expr != nullptr) WalkExpr(*clause.expr, fn);
+  }
+  if (e.where != nullptr) WalkExpr(*e.where, fn);
+  for (const auto& spec : e.order_by) {
+    if (spec.key != nullptr) WalkExpr(*spec.key, fn);
+  }
+  for (const auto& part : e.ctor_content) {
+    if (part.expr != nullptr) WalkExpr(*part.expr, fn);
+  }
+  for (const auto& attr : e.ctor_attrs) {
+    for (const auto& part : attr.value_parts) {
+      if (part.expr != nullptr) WalkExpr(*part.expr, fn);
+    }
+  }
+}
+
+bool ReadsVariable(const Expr& e,
+                   const std::function<bool(const std::string&)>& match) {
+  bool found = false;
+  WalkExpr(e, [&](const Expr& x) {
+    if (x.kind == ExprKind::kVarRef && match(x.var)) found = true;
+  });
+  return found;
+}
+
 }  // namespace xqdb

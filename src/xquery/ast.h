@@ -1,6 +1,7 @@
 #ifndef XQDB_XQUERY_AST_H_
 #define XQDB_XQUERY_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,6 +181,16 @@ struct Expr {
 
 /// Debug dump (single line, s-expression style).
 std::string ExprToString(const Expr& e);
+
+/// Calls `fn` on `e` and on every expression nested in it, pre-order:
+/// children, path steps and predicates, FLWOR clauses, where and order by,
+/// and constructor content.
+void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn);
+
+/// True when some variable reference in `e` names a variable `match`
+/// accepts.
+bool ReadsVariable(const Expr& e,
+                   const std::function<bool(const std::string&)>& match);
 
 }  // namespace xqdb
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <set>
 
 #include "common/str_util.h"
 #include "observability/exec_stats.h"
 #include "xdm/cast.h"
 #include "xdm/compare.h"
+#include "xdm/join_key.h"
 #include "xml/qname.h"
 #include "xquery/functions.h"
 
@@ -290,33 +292,36 @@ Result<Sequence> Evaluator::EvalFlwor(const Expr& e, const Focus& f) {
   std::vector<Keyed> keyed;
   bool ordered = !e.order_by.empty();
 
-  std::function<Status(size_t)> run_clause = [&](size_t i) -> Status {
-    if (i == e.clauses.size()) {
-      if (e.where != nullptr) {
-        XQDB_ASSIGN_OR_RETURN(Sequence cond, EvalExpr(*e.where, f));
-        XQDB_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(cond));
-        if (!b) return Status::OK();
-      }
-      Keyed k;
-      if (ordered) {
-        for (const OrderSpec& spec : e.order_by) {
-          XQDB_ASSIGN_OR_RETURN(Sequence key_seq, EvalExpr(*spec.key, f));
-          XQDB_ASSIGN_OR_RETURN(Sequence atoms, Atomize(key_seq));
-          if (atoms.size() > 1) {
-            return Status::TypeError("XPTY0004: order-by key cardinality");
-          }
-          k.key_empty.push_back(atoms.empty());
-          AtomicValue key =
-              atoms.empty() ? AtomicValue::String("") : atoms[0].atomic();
-          k.key_nan.push_back(key.type() == AtomicType::kDouble &&
-                              std::isnan(key.double_value()));
-          k.keys.push_back(std::move(key));
-        }
-      }
-      XQDB_ASSIGN_OR_RETURN(k.result, EvalExpr(*e.children[0], f));
-      keyed.push_back(std::move(k));
-      return Status::OK();
+  // One complete tuple: where, order-by keys, return.
+  const std::function<Status()> emit = [&]() -> Status {
+    if (e.where != nullptr) {
+      XQDB_ASSIGN_OR_RETURN(Sequence cond, EvalExpr(*e.where, f));
+      XQDB_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(cond));
+      if (!b) return Status::OK();
     }
+    Keyed k;
+    if (ordered) {
+      for (const OrderSpec& spec : e.order_by) {
+        XQDB_ASSIGN_OR_RETURN(Sequence key_seq, EvalExpr(*spec.key, f));
+        XQDB_ASSIGN_OR_RETURN(Sequence atoms, Atomize(key_seq));
+        if (atoms.size() > 1) {
+          return Status::TypeError("XPTY0004: order-by key cardinality");
+        }
+        k.key_empty.push_back(atoms.empty());
+        AtomicValue key =
+            atoms.empty() ? AtomicValue::String("") : atoms[0].atomic();
+        k.key_nan.push_back(key.type() == AtomicType::kDouble &&
+                            std::isnan(key.double_value()));
+        k.keys.push_back(std::move(key));
+      }
+    }
+    XQDB_ASSIGN_OR_RETURN(k.result, EvalExpr(*e.children[0], f));
+    keyed.push_back(std::move(k));
+    return Status::OK();
+  };
+
+  std::function<Status(size_t)> run_clause = [&](size_t i) -> Status {
+    if (i == e.clauses.size()) return emit();
     const FlworClause& clause = e.clauses[i];
     XQDB_ASSIGN_OR_RETURN(Sequence bound, EvalExpr(*clause.expr, f));
     VarScope scope(&vars_, clause.var);
@@ -332,7 +337,13 @@ Result<Sequence> Evaluator::EvalFlwor(const Expr& e, const Focus& f) {
     }
     return Status::OK();
   };
-  XQDB_RETURN_IF_ERROR(run_clause(0));
+  bool hashed = false;
+  if (hash_join_enabled_) {
+    if (std::optional<FlworHashJoin> join = FindFlworHashJoin(e)) {
+      XQDB_ASSIGN_OR_RETURN(hashed, RunFlworHashJoin(e, *join, f, emit));
+    }
+  }
+  if (!hashed) XQDB_RETURN_IF_ERROR(run_clause(0));
 
   if (ordered) {
     Status sort_error = Status::OK();
@@ -374,6 +385,156 @@ Result<Sequence> Evaluator::EvalFlwor(const Expr& e, const Focus& f) {
     out.insert(out.end(), k.result.begin(), k.result.end());
   }
   return out;
+}
+
+Result<bool> Evaluator::RunFlworHashJoin(const Expr& e,
+                                         const FlworHashJoin& join,
+                                         const Focus& f,
+                                         const std::function<Status()>& emit) {
+  // DESIGN.md §14. Every key is computed before any tuple is emitted, so a
+  // key that raises, or that would make the comparison cast or raise,
+  // abandons the join (returns false) before a return expression runs and
+  // the caller replays the FLWOR as the nested loop.
+  const size_t last = e.clauses.size() - 1;
+  const FlworClause& inner = e.clauses[last];
+  unsigned kinds = 0;
+  // Sentinel for "a key would cast or raise": the status never escapes.
+  const Status unhashable = Status::Internal("hash join key");
+
+  // The earlier clauses' tuples, in nested-loop order, with their keys.
+  std::vector<std::vector<Sequence>> tuples;
+  std::vector<std::vector<JoinKey>> probe_keys;
+  std::function<Status(size_t)> enumerate = [&](size_t i) -> Status {
+    if (i == last) {
+      XQDB_ASSIGN_OR_RETURN(Sequence value, EvalExpr(*join.probe_key, f));
+      XQDB_ASSIGN_OR_RETURN(Sequence atoms, Atomize(value));
+      std::vector<JoinKey> keys;
+      if (!AppendAtomicJoinKeys(atoms, join.value_comparison, &keys,
+                                &kinds)) {
+        return unhashable;
+      }
+      std::vector<Sequence> tuple;
+      tuple.reserve(last);
+      for (size_t c = 0; c < last; ++c) {
+        tuple.push_back(vars_[e.clauses[c].var]);
+      }
+      tuples.push_back(std::move(tuple));
+      probe_keys.push_back(std::move(keys));
+      return Status::OK();
+    }
+    const FlworClause& clause = e.clauses[i];
+    XQDB_ASSIGN_OR_RETURN(Sequence bound, EvalExpr(*clause.expr, f));
+    VarScope scope(&vars_, clause.var);
+    if (clause.kind == FlworClause::Kind::kLet) {
+      vars_[clause.var] = std::move(bound);
+      return enumerate(i + 1);
+    }
+    for (Item& item : bound) {
+      vars_[clause.var] = Sequence{std::move(item)};
+      XQDB_RETURN_IF_ERROR(enumerate(i + 1));
+    }
+    return Status::OK();
+  };
+  auto fall_back = [&]() -> bool {
+    CountHashJoinFallback(stats_);
+    return false;
+  };
+  if (!enumerate(0).ok()) return fall_back();
+  if (tuples.empty()) return true;  // the nested loop would emit nothing
+
+  // The trailing binding reads no earlier variable: evaluate it once and
+  // hash its items by key.
+  Result<Sequence> build = EvalExpr(*inner.expr, f);
+  if (!build.ok()) return fall_back();
+  JoinKeyTable table;
+  {
+    VarScope scope(&vars_, inner.var);
+    std::vector<JoinKey> keys;
+    for (size_t k = 0; k < build->size(); ++k) {
+      vars_[inner.var] = Sequence{(*build)[k]};
+      Result<Sequence> value = EvalExpr(*join.build_key, f);
+      if (!value.ok()) return fall_back();
+      Result<Sequence> atoms = Atomize(*value);
+      keys.clear();
+      if (!atoms.ok() || !AppendAtomicJoinKeys(*atoms, join.value_comparison,
+                                               &keys, &kinds)) {
+        return fall_back();
+      }
+      for (const JoinKey& key : keys) {
+        table.Add(key, static_cast<uint32_t>(k));
+      }
+    }
+  }
+  if (!JoinKeyKindsCompatible(kinds)) return fall_back();
+
+  // Replay the tuples in order; each meets only the items sharing a key,
+  // in binding order, and the full where clause decides.
+  std::set<std::string> names;
+  for (const FlworClause& clause : e.clauses) names.insert(clause.var);
+  std::vector<std::unique_ptr<VarScope>> scopes;
+  for (const std::string& name : names) {
+    scopes.push_back(std::make_unique<VarScope>(&vars_, name));
+  }
+  std::vector<uint32_t> matches;
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    table.Lookup(probe_keys[t], &matches);
+    if (matches.empty()) continue;
+    for (size_t c = 0; c < last; ++c) {
+      vars_[e.clauses[c].var] = std::move(tuples[t][c]);
+    }
+    for (uint32_t k : matches) {
+      vars_[inner.var] = Sequence{(*build)[k]};
+      XQDB_RETURN_IF_ERROR(emit());
+    }
+  }
+  return true;
+}
+
+std::optional<FlworHashJoin> FindFlworHashJoin(const Expr& e) {
+  if (e.kind != ExprKind::kFlwor || e.clauses.size() < 2 ||
+      e.where == nullptr) {
+    return std::nullopt;
+  }
+  const FlworClause& inner = e.clauses.back();
+  const Expr& where = *e.where;
+  if (inner.kind != FlworClause::Kind::kFor ||
+      (where.kind != ExprKind::kGeneralCompare &&
+       where.kind != ExprKind::kValueCompare) ||
+      where.cmp_op != CompareOp::kEq || where.children.size() != 2) {
+    return std::nullopt;
+  }
+  std::set<std::string> earlier;
+  for (size_t i = 0; i + 1 < e.clauses.size(); ++i) {
+    earlier.insert(e.clauses[i].var);
+  }
+  if (earlier.count(inner.var) > 0) return std::nullopt;
+  auto reads_earlier = [&](const Expr& x) {
+    return ReadsVariable(x, [&](const std::string& v) {
+      return earlier.count(v) > 0;
+    });
+  };
+  auto reads_inner = [&](const Expr& x) {
+    return ReadsVariable(x,
+                         [&](const std::string& v) { return v == inner.var; });
+  };
+  // The binding is evaluated once instead of once per outer tuple: that is
+  // only the same sequence when it reads no earlier variable and builds no
+  // nodes (each evaluation would mint fresh node identities).
+  if (reads_earlier(*inner.expr)) return std::nullopt;
+  bool constructs = false;
+  WalkExpr(*inner.expr, [&](const Expr& x) {
+    if (x.kind == ExprKind::kDirectElement) constructs = true;
+  });
+  if (constructs) return std::nullopt;
+  for (size_t b = 0; b < 2; ++b) {
+    const Expr& build = *where.children[b];
+    const Expr& probe = *where.children[1 - b];
+    if (reads_inner(build) && !reads_earlier(build) && !reads_inner(probe)) {
+      return FlworHashJoin{&probe, &build,
+                           where.kind == ExprKind::kValueCompare};
+    }
+  }
+  return std::nullopt;
 }
 
 Result<Sequence> Evaluator::EvalQuantified(const Expr& e, const Focus& f) {

@@ -1,8 +1,10 @@
 #ifndef XQDB_XQUERY_EVALUATOR_H_
 #define XQDB_XQUERY_EVALUATOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,6 +58,20 @@ struct Focus {
   long long size = 1;
 };
 
+/// A FLWOR whose trailing `for` can run as a hash equi-join (DESIGN.md
+/// §14): its binding reads no earlier clause variable and constructs no
+/// nodes, and the where clause is one `=` or `eq` between `probe_key`,
+/// which reads no trailing variable, and `build_key`, which reads the
+/// trailing variable and no earlier one.
+struct FlworHashJoin {
+  const Expr* probe_key = nullptr;
+  const Expr* build_key = nullptr;
+  bool value_comparison = false;  // `eq` rather than `=`
+};
+
+/// The hash-join shape of `flwor`, if it has one.
+std::optional<FlworHashJoin> FindFlworHashJoin(const Expr& flwor);
+
 /// Tree-walking evaluator for the xqdb XQuery subset. Single-use per query
 /// is not required; Eval() may be called repeatedly (e.g. once per SQL row
 /// with different variable bindings).
@@ -91,11 +107,22 @@ class Evaluator {
   /// Off = the original recursive tree walk, the differential baseline.
   void set_structural_enabled(bool enabled) { structural_enabled_ = enabled; }
 
+  /// Runs FindFlworHashJoin shapes as hash joins (DESIGN.md §14). Off by
+  /// default; the executor turns it on with batch execution, so
+  /// ExecOptions::disable_batch / XQDB_BATCH=off keep the nested loop.
+  void set_hash_join_enabled(bool enabled) { hash_join_enabled_ = enabled; }
+
  private:
   friend struct FnContext;
 
   Result<Sequence> EvalExpr(const Expr& e, const Focus& f);
   Result<Sequence> EvalFlwor(const Expr& e, const Focus& f);
+  /// The hash-join form of a FLWOR; `emit` is the where/order/return step
+  /// for the tuple bound in vars_. False: nothing was emitted and the
+  /// caller must run the nested loop.
+  Result<bool> RunFlworHashJoin(const Expr& e, const FlworHashJoin& join,
+                                const Focus& f,
+                                const std::function<Status()>& emit);
   Result<Sequence> EvalQuantified(const Expr& e, const Focus& f);
   Result<Sequence> EvalPath(const Expr& e, const Focus& f);
   Result<Sequence> EvalAxisStep(const PathStep& step, const Sequence& input,
@@ -121,6 +148,7 @@ class Evaluator {
   long long docs_navigated_ = 0;
   ExecStats* stats_ = nullptr;
   bool structural_enabled_ = StructuralJoinDefault();
+  bool hash_join_enabled_ = false;
 };
 
 /// True if the node satisfies the test (axis-independent part: kind + name).

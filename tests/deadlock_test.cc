@@ -47,7 +47,23 @@ static_assert(RankOrderAllows(LockRank::kXmlIndex, LockRank::kPatternCache));
 static_assert(RankOrderAllows(LockRank::kPatternCache, LockRank::kNamePool));
 
 // Table lookups are constexpr: the hierarchy is queryable at compile time.
-static_assert(FindLockRankRow("epoch.writer") != nullptr);
+// Presence is asserted through a bool: gcc 12 under -fsanitize=undefined
+// instruments `FindLockRankRow(...) != nullptr` and then rejects it as
+// "not a constant expression".
+constexpr bool DeclaresLockClass(const char* name) {
+  for (const LockRankRow& row : kLockHierarchy) {
+    const char* a = row.name;
+    const char* b = name;
+    while (*a != '\0' && *a == *b) {
+      ++a;
+      ++b;
+    }
+    if (*a == '\0' && *b == '\0') return true;
+  }
+  return false;
+}
+static_assert(DeclaresLockClass("epoch.writer"));
+static_assert(!DeclaresLockClass("no.such.lock"));
 static_assert(FindLockRankRow("epoch.writer")->rank == LockRank::kEpochWriter);
 static_assert(FindLockRankRow("metrics.registry")->rank == LockRank::kMetrics);
 static_assert(FindLockRankRow("no.such.lock") == nullptr);

@@ -61,10 +61,80 @@ TEST_F(JoinFixture, NumericJoinProbesInnerIndex) {
 }
 
 TEST_F(JoinFixture, NumericJoinNestedLoopWithoutIndex) {
-  auto with_scan = db_.ExecuteSql(kNumericJoin);
+  // Row-at-a-time execution keeps the nested loop: every customer meets
+  // every order.
+  ExecOptions row_at_a_time;
+  row_at_a_time.disable_batch = true;
+  auto with_scan = db_.ExecuteSql(kNumericJoin, row_at_a_time);
   ASSERT_TRUE(with_scan.ok());
   EXPECT_EQ(with_scan->rows.size(), 30u);
   EXPECT_EQ(with_scan->stats.rows_scanned, 10 + 10 * 30);
+}
+
+TEST_F(JoinFixture, NumericJoinHashesInnerTableWithoutIndex) {
+  // Without an index the join hashes the orders once (DESIGN.md §14):
+  // each order is read once, not once per customer.
+  auto plan = db_.ExplainSql(kNumericJoin);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("HASH JOIN ON custid/xs:double(.) = "
+                       "$c/customer/id/xs:double(.) (build: O)"),
+            std::string::npos)
+      << *plan;
+  auto hashed = db_.ExecuteSql(kNumericJoin);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed->stats.rows_scanned, 10 + 30);
+  EXPECT_EQ(hashed->stats.hash_join_fallbacks, 0);
+
+  ExecOptions row_at_a_time;
+  row_at_a_time.disable_batch = true;
+  auto nested = db_.ExecuteSql(kNumericJoin, row_at_a_time);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(hashed->ToString(100), nested->ToString(100));
+}
+
+TEST_F(JoinFixture, NaNKeyFallsBackToNestedLoop) {
+  // SQL comparison finds a NaN double equal to every number, which no hash
+  // bucket can reproduce: the SQL-side join gives way to the nested loop,
+  // and EXPLAIN ANALYZE shows it.
+  Exec("INSERT INTO orders VALUES (30, '<order><custid>NaN</custid>"
+       "</order>')");
+  const std::string q =
+      "SELECT c.cid, o.ordid FROM customer c, orders o "
+      "WHERE XMLCAST(XMLQUERY('$o/order/custid' passing o.orddoc as \"o\") "
+      "AS DOUBLE) = XMLCAST(XMLQUERY('$c/customer/id' passing c.cdoc as "
+      "\"c\") AS DOUBLE)";
+  auto hashed = db_.ExecuteSql(q);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed->stats.hash_join_fallbacks, 1);
+  EXPECT_EQ(hashed->rows.size(), 30u + 10u);  // NaN "equals" every customer
+  ExecOptions row_at_a_time;
+  row_at_a_time.disable_batch = true;
+  auto nested = db_.ExecuteSql(q, row_at_a_time);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(hashed->ToString(100), nested->ToString(100));
+  EXPECT_EQ(hashed->stats.rows_scanned, nested->stats.rows_scanned);
+  auto analyzed = db_.ExplainAnalyzeSql(q);
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_NE(analyzed->find("hash_join_fallbacks = 1"), std::string::npos)
+      << *analyzed;
+}
+
+TEST_F(JoinFixture, FlworUntypedVsNumericKeyFallsBack) {
+  // Untyped custid against a numeric key casts inside `=`, which a hash
+  // bucket cannot reproduce: the FLWOR join gives way to the nested loop.
+  const std::string q =
+      "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
+      "for $c in db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer "
+      "where $o/custid = $c/id/xs:double(.) return $o/custid";
+  auto hashed = db_.ExecuteXQuery(q);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed->stats.hash_join_fallbacks, 1);
+  ExecOptions row_at_a_time;
+  row_at_a_time.disable_batch = true;
+  auto nested = db_.ExecuteXQuery(q, row_at_a_time);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(hashed->rows.size(), 30u);
+  EXPECT_EQ(hashed->rows, nested->rows);
 }
 
 TEST_F(JoinFixture, StringJoinViaValueComparison) {

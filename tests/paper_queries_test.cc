@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/database.h"
+#include "observability/metrics.h"
 
 namespace xqdb {
 namespace {
@@ -250,6 +251,88 @@ TEST_F(PaperFixture, Query16XQueryXmlJoinSameResult) {
       "$cust/customer/id/xs:double(.)]' "
       "passing o.orddoc as \"order\", c.cdoc as \"cust\")");
   EXPECT_EQ(rs.rows.size(), 2u);
+}
+
+// The join queries run as hash joins by default and as nested loops
+// row-at-a-time (DESIGN.md §14); the hash join only pre-filters, so both
+// return the same rows in the same order.
+TEST_F(PaperFixture, HashJoinsReturnNestedLoopRows) {
+  const char* const kSqlJoins[] = {
+      // Query 13
+      "SELECT p.name, XMLQUERY('$order//lineitem' passing o.orddoc as "
+      "\"order\") FROM products p, orders o "
+      "WHERE XMLEXISTS('$order//lineitem/product[id eq $pid]' "
+      "passing o.orddoc as \"order\", p.id as \"pid\")",
+      // Query 15
+      "SELECT c.cid, XMLQUERY('$order//lineitem' passing o.orddoc as "
+      "\"order\") FROM orders o, customer c "
+      "WHERE XMLCAST(XMLQUERY('$order/order/custid' passing o.orddoc as "
+      "\"order\") AS DOUBLE) = "
+      "XMLCAST(XMLQUERY('$cust/customer/id' passing c.cdoc as \"cust\") "
+      "AS DOUBLE)",
+      // Query 16
+      "SELECT c.cid, XMLQUERY('$order//lineitem' passing o.orddoc as "
+      "\"order\") FROM orders o, customer c "
+      "WHERE XMLEXISTS('$order/order[custid/xs:double(.) = "
+      "$cust/customer/id/xs:double(.)]' "
+      "passing o.orddoc as \"order\", c.cdoc as \"cust\")",
+  };
+  ExecOptions row_at_a_time;
+  row_at_a_time.disable_batch = true;
+  for (const char* q : kSqlJoins) {
+    SCOPED_TRACE(q);
+    auto plan = db_.ExplainSql(q);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan->find("HASH JOIN ON"), std::string::npos) << *plan;
+    auto hashed = db_.ExecuteSql(q);
+    auto nested = db_.ExecuteSql(q, row_at_a_time);
+    ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+    ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+    EXPECT_FALSE(hashed->rows.empty());
+    EXPECT_EQ(hashed->ToString(100), nested->ToString(100));
+    EXPECT_EQ(hashed->stats.hash_join_fallbacks, 0);
+    EXPECT_LT(hashed->stats.rows_scanned, nested->stats.rows_scanned);
+  }
+
+  // Query 4: the FLWOR for/for/where join.
+  const std::string q4 =
+      "for $i in db2-fn:xmlcolumn(\"ORDERS.ORDDOC\")/order "
+      "for $j in db2-fn:xmlcolumn(\"CUSTOMER.CDOC\")/customer "
+      "where $i/custid/xs:double(.) = $j/id/xs:double(.) "
+      "return $i";
+  EXPECT_NE(ExplainX(q4).find("HASH JOIN ON $i/custid/xs:double(.) = "
+                              "$j/id/xs:double(.) (build: $j)"),
+            std::string::npos)
+      << ExplainX(q4);
+  auto hashed = db_.ExecuteXQuery(q4);
+  auto nested = db_.ExecuteXQuery(q4, row_at_a_time);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(hashed->rows.size(), 2u);
+  EXPECT_EQ(hashed->rows, nested->rows);
+  EXPECT_EQ(hashed->stats.hash_join_fallbacks, 0);
+  EXPECT_EQ(hashed->stats.rows_scanned, 3 + 2);  // each document once
+  EXPECT_EQ(nested->stats.rows_scanned, 3 + 3 * 2);
+}
+
+TEST_F(PaperFixture, Query14HashJoinFallsBackToTheNestedLoopError) {
+  // Order 1's two product ids make its XMLCAST key raise, so the hash join
+  // gives way to the nested loop before any row is emitted, and the
+  // nested loop raises the paper's cardinality error as before.
+  const std::string q14 =
+      "SELECT p.name FROM products p, orders o "
+      "WHERE p.id = XMLCAST(XMLQUERY('$order//lineitem/product/id' "
+      "passing o.orddoc as \"order\") AS VARCHAR(13))";
+  auto plan = db_.ExplainSql(q14);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("HASH JOIN ON"), std::string::npos) << *plan;
+  Counter* fallbacks =
+      MetricsRegistry::Global().GetCounter("exec.hash_join_fallbacks");
+  const long long before = fallbacks->value();
+  auto rs = db_.ExecuteSql(q14);
+  EXPECT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(fallbacks->value() - before, 1);
 }
 
 TEST_F(PaperFixture, Query17And18ForVsLetCardinality) {

@@ -7,6 +7,7 @@
 #include "xdm/compare.h"
 #include "xdm/datetime.h"
 #include "xdm/item.h"
+#include "xdm/join_key.h"
 #include "xml/parser.h"
 
 namespace xqdb {
@@ -302,6 +303,54 @@ TEST(AtomizeTest, AnnotatedNodeYieldsTypedValue) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->type(), AtomicType::kInteger);
   EXPECT_EQ(v->integer_value(), 17);
+}
+
+// Hash-join keys (DESIGN.md §14): values `=` finds equal share a bucket;
+// operands the comparison would cast or reject are refused.
+TEST(JoinKeyTest, EqualValuesShareABucket) {
+  auto keys_of = [](Sequence atoms, bool value_comparison, unsigned* kinds) {
+    std::vector<JoinKey> keys;
+    EXPECT_TRUE(AppendAtomicJoinKeys(atoms, value_comparison, &keys, kinds));
+    return keys;
+  };
+  unsigned kinds = 0;
+  JoinKeyTable table;
+  for (const JoinKey& k :
+       keys_of({Item(AtomicValue::Double(-0.0))}, false, &kinds)) {
+    table.Add(k, 1);
+  }
+  for (const JoinKey& k :
+       keys_of({Item(AtomicValue::Integer(7)), Item(AtomicValue::Double(7))},
+               false, &kinds)) {
+    table.Add(k, 2);  // one id per key, however often it repeats
+  }
+  std::vector<uint32_t> ids;
+  table.Lookup(keys_of({Item(AtomicValue::Integer(0)),
+                        Item(AtomicValue::Double(7.0))},
+                       false, &kinds),
+               &ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(kinds, unsigned{kNumericJoinKey});
+  EXPECT_TRUE(JoinKeyKindsCompatible(kinds));
+
+  // NaN equals nothing: a numeric kind, but no key.
+  EXPECT_TRUE(keys_of({Item(AtomicValue::Double(std::nan("")))}, false,
+                      &kinds)
+                  .empty());
+  // Untyped data joins strings by codepoints; mixed with numbers it would
+  // cast, so the kinds are incompatible.
+  EXPECT_EQ(keys_of({Item(AtomicValue::UntypedAtomic("p1"))}, false, &kinds)
+                .at(0)
+                .str,
+            "p1");
+  EXPECT_FALSE(JoinKeyKindsCompatible(kinds));
+
+  std::vector<JoinKey> refused;
+  EXPECT_FALSE(AppendAtomicJoinKeys(
+      {Item(AtomicValue::String("a")), Item(AtomicValue::String("b"))},
+      /*value_comparison=*/true, &refused, &kinds));  // eq: XPTY0004
+  EXPECT_FALSE(AppendAtomicJoinKeys({Item(AtomicValue::Boolean(true))}, false,
+                                    &refused, &kinds));
 }
 
 TEST(SortDocOrderTest, DedupsAndSorts) {
